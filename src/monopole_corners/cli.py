@@ -41,6 +41,13 @@ def _parse_type(s: str) -> IntegerPartition:
     return IntegerPartition(int(x) for x in s.split(","))
 
 
+def _parse_coefficients(flag: str, s: str) -> list[Fraction]:
+    try:
+        return [Fraction(x) for x in s.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag}: {s!r} is not a comma-separated list of rationals") from None
+
+
 def _faces_rows(descs) -> list[dict]:
     return [d.to_json_dict() for d in descs]
 
@@ -76,10 +83,9 @@ def _cmd_faces(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    data = _load_json(args.input)
+    inp = clusters.StrongFieldInput.from_json_dict(_load_json(args.input))
     if args.r_prime is not None:
-        data["r_prime"] = args.r_prime
-    inp = clusters.StrongFieldInput.from_json_dict(data)
+        inp = clusters.StrongFieldInput(inp.components, r_prime=args.r_prime)
     dec = clusters.taubes_cluster(inp)
     _emit(json.dumps(dec.to_json_dict(), indent=2), args.output)
     if args.rounds_csv:
@@ -118,8 +124,7 @@ def _cmd_resultant(args) -> int:
         if not (args.phi and args.psi):
             raise ValueError("need --input or both --phi and --psi")
         pair = ratmaps.RationalMapPair(
-            [Fraction(x) for x in args.phi.split(",")],
-            [Fraction(x) for x in args.psi.split(",")],
+            _parse_coefficients("--phi", args.phi), _parse_coefficients("--psi", args.psi)
         )
     value = ratmaps.resultant(pair)
     if args.format == "json":

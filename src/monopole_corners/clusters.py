@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from numbers import Real
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInputError
@@ -46,7 +47,10 @@ Point = tuple[float, float, float]
 
 
 def _as_point(p: Sequence[float]) -> Point:
-    q = tuple(float(x) for x in p)
+    try:
+        q = tuple(float(x) for x in p)
+    except TypeError:
+        raise ValueError(f"points live in R^3, got {p!r}") from None
     if len(q) != 3:
         raise ValueError(f"points live in R^3, got {p!r}")
     if not all(math.isfinite(x) for x in q):
@@ -106,11 +110,19 @@ class StrongFieldComponent:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_point(self.center))
-        if not (math.isfinite(self.diameter) and self.diameter >= 0):
-            raise ValueError(f"diameter must be nonnegative, got {self.diameter}")
-        if int(self.charge) < 1:
-            raise ValueError(f"charge must be positive, got {self.charge}")
-        object.__setattr__(self, "charge", int(self.charge))
+        if not (_is_real(self.diameter) and math.isfinite(self.diameter) and self.diameter >= 0):
+            raise ValueError(f"diameter must be a nonnegative number, got {self.diameter!r}")
+        charge = self.charge
+        if not (_is_real(charge) and math.isfinite(charge) and charge == int(charge) >= 1):
+            raise ValueError(f"charge must be a positive integer, got {charge!r}")
+        object.__setattr__(self, "charge", int(charge))
+
+
+_COMPONENT_FIELDS = frozenset(f.name for f in fields(StrongFieldComponent))
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, Real) and not isinstance(x, bool)
 
 
 class StrongFieldInput:
@@ -125,8 +137,8 @@ class StrongFieldInput:
         )
         if not comps:
             raise ValueError("need at least one strong-field component")
-        if not (math.isfinite(r_prime) and r_prime > 0):
-            raise ValueError(f"r_prime must be positive, got {r_prime}")
+        if not (_is_real(r_prime) and math.isfinite(r_prime) and r_prime > 0):
+            raise ValueError(f"r_prime must be a positive number, got {r_prime!r}")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "r_prime", float(r_prime))
 
@@ -135,7 +147,25 @@ class StrongFieldInput:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "StrongFieldInput":
-        return cls(d["components"], r_prime=d.get("r_prime", 1.0))
+        """Parse the JSON form, naming the offending field on bad input."""
+        if not isinstance(d, dict):
+            raise ValueError(f"strong-field input must be a JSON object, got {type(d).__name__}")
+        if not isinstance(d.get("components"), list):
+            raise ValueError("'components' must be a list of component objects")
+        comps = []
+        for i, c in enumerate(d["components"]):
+            if not isinstance(c, dict):
+                raise ValueError(f"components[{i}] must be an object, got {type(c).__name__}")
+            if set(c) != _COMPONENT_FIELDS:
+                raise ValueError(
+                    f"components[{i}] needs exactly the fields {sorted(_COMPONENT_FIELDS)},"
+                    f" got {sorted(c)}"
+                )
+            try:
+                comps.append(StrongFieldComponent(**c))
+            except ValueError as exc:
+                raise ValueError(f"components[{i}]: {exc}") from None
+        return cls(comps, r_prime=d.get("r_prime", 1.0))
 
     def to_json_dict(self) -> dict:
         return {

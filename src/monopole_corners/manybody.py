@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Sequence
 
 from . import partitions
 from .errors import ChainError
-from .partitions import SetPartition
 
 
 class ManyBodyStructure:
@@ -247,8 +246,3 @@ def face_of_chain(ws: ManyBodyStructure, chain: Sequence[str]) -> ManyBodyFace:
         factors.append(FaceFactor("B", f"{hi}/{lo}", ws.dim(hi) - ws.dim(lo) - 1))
     factors.append(FaceFactor("B", labels[-1], ws.dim(labels[-1]) - 1))
     return ManyBodyFace(tuple(labels), tuple(factors))
-
-
-def diagonal_label(p: SetPartition) -> str:
-    """The structure label used for a partition's diagonal."""
-    return p.to_rgs()

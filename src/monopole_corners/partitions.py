@@ -6,7 +6,7 @@ be hashed and compared directly.  Relabelling orbits under the symmetric
 group, and orbits of refinement chains, are enumerated without ever touching
 explicit permutations: a chain of partitions up to relabelling is the same
 thing as a nested multiset of block sizes (a "tower"), and towers are
-enumerated recursively.
+enumerated top down, one chain entry per level.
 
 Everything here is immutable after construction.
 """
@@ -389,6 +389,16 @@ def refines_integer_partition(a: IntegerPartition, b: IntegerPartition) -> bool:
 # into blocks, and each block carries the restricted depth-(d-1) tower.  A
 # depth-0 tower is just a block size.  Towers are nested tuples sorted in
 # decreasing (size, structure) order, which makes them canonical.
+#
+# Towers are enumerated top down.  Below a coarse partition nu the depth-0
+# forest holds one block size per nu-block.  Each level replaces every leaf
+# n by an integer partition of n and re-sorts each node's children; this
+# adds the next finer chain entry.  A refined forest is kept only when some
+# leaf really splits, which keeps the chain strict, and when its leaf count
+# leaves room for one more split at each level still to come, so every
+# forest kept extends to a full chain.  Each level's forests are keyed in a
+# dict, so each orbit appears once and the work follows the number of
+# orbits, not of weak towers.
 # ---------------------------------------------------------------------------
 
 
@@ -400,118 +410,20 @@ def _tower_key(t):
     return (_tower_size(t), t)
 
 
-def _tower_ranks(tower, depth: int) -> list[int]:
-    """[r(lam_1), ..., r(lam_depth)] for the chain encoded by the tower."""
-    levels = [0] * depth
-
-    def walk(t, height: int) -> None:
-        if height == 0:
-            return
-        levels[height - 1] += len(t)
-        for child in t:
-            walk(child, height - 1)
-
-    walk(tower, depth)
-    return levels
-
-
-def _rank_vectors(depth: int, caps: Sequence[int], lo: int = 1) -> list[tuple[int, ...]]:
-    """Weakly decreasing vectors v with lo <= v[j] <= caps[j]."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(j: int, prev: int, acc: list[int]) -> None:
-        if j == depth:
-            out.append(tuple(acc))
-            return
-        for v in range(min(prev, caps[j]), lo - 1, -1):
-            acc.append(v)
-            rec(j + 1, v, acc)
-            acc.pop()
-
-    rec(0, max(caps, default=0) if caps else 0, [])
-    return out
-
-
-@lru_cache(maxsize=None)
-def _towers_ranked(size: int, depth: int, vec: tuple[int, ...]) -> tuple:
-    """Towers of the given size and depth whose rank vector is exactly `vec`.
-
-    vec[j] is the required number of height-j nodes, i.e. the block count
-    r(lam_{j+1}) contributed by this tower.  Enumerating by rank profile
-    keeps the search output-sensitive; without it, deep weak towers swamp
-    the strict chains they contain.
-    """
-    if depth == 0:
-        return (size,) if vec == () else ()
-    n_children = vec[depth - 1]
-    if not 1 <= n_children <= size:
-        return ()
-    budget = vec[:-1]
-    options: list[tuple[int, tuple, tuple[int, ...]]] = []
-    for s in range(size, 0, -1):
-        for u in _rank_vectors(depth - 1, [min(s, b) for b in budget]):
-            options.extend((s, t, u) for t in _towers_ranked(s, depth - 1, u))
-    options.sort(key=lambda e: (e[0], e[1]), reverse=True)
-    results: list[tuple] = []
-
-    def feasible(size_rem: int, vec_rem: tuple[int, ...], slots: int) -> bool:
-        if slots == 0:
-            return size_rem == 0 and not any(vec_rem)
-        if not slots <= size_rem:
-            return False
-        prev = size_rem
-        for v in vec_rem:
-            if not slots <= v <= min(size_rem, prev):
-                return False
-            prev = v
-        return True
-
-    def rec(size_rem: int, vec_rem: tuple[int, ...], slots: int, start: int, acc: list) -> None:
-        if slots == 0:
-            results.append(tuple(acc))
-            return
-        for i in range(start, len(options)):
-            s, t, ranks = options[i]
-            if s > size_rem:
-                continue
-            new_vec = tuple(v - r for v, r in zip(vec_rem, ranks))
-            if any(v < 0 for v in new_vec):
-                continue
-            if not feasible(size_rem - s, new_vec, slots - 1):
-                continue
-            acc.append(t)
-            rec(size_rem - s, new_vec, slots - 1, i, acc)
-            acc.pop()
-
-    if feasible(size, budget, n_children):
-        rec(size, budget, n_children, 0, [])
-    return tuple(results)
-
-
-def _forest_ranked(sizes: tuple[int, ...], depth: int, vec: tuple[int, ...]) -> list[tuple]:
-    """Ordered tuples of towers, one per entry of `sizes`, whose rank
-    vectors sum to `vec`."""
-    results: list[tuple] = []
-
-    def rec(i: int, vec_rem: tuple[int, ...], acc: list) -> None:
-        if i == len(sizes):
-            if not any(vec_rem):
-                results.append(tuple(acc))
-            return
-        blocks_left = len(sizes) - i - 1
-        size_left = sum(sizes[i + 1 :])
-        s = sizes[i]
-        for u in _rank_vectors(depth, [min(s, b - blocks_left) for b in vec_rem]):
-            rest = tuple(v - a for v, a in zip(vec_rem, u))
-            if any(not blocks_left <= r <= size_left for r in rest):
-                continue
-            for t in _towers_ranked(s, depth, u):
-                acc.append(t)
-                rec(i + 1, rest, acc)
-                acc.pop()
-
-    rec(0, vec, [])
-    return results
+def _tower_refinements(tower, memo: dict) -> list[tuple]:
+    """(refined tower, leaf count) for every way of replacing each leaf n of
+    `tower` by an integer partition of n, with children re-sorted
+    canonically.  `memo` must already hold the answer for every leaf."""
+    got = memo.get(tower)
+    if got is None:
+        # Refining keeps each child's size, so sort on the old sizes.
+        sizes = [_tower_size(c) for c in tower]
+        seen: dict[tuple, int] = {}
+        for kids in itertools.product(*(_tower_refinements(c, memo) for c in tower)):
+            keyed = sorted(zip(sizes, (t for t, _ in kids)), reverse=True)
+            seen[tuple(t for _, t in keyed)] = sum(n for _, n in kids)
+        got = memo[tower] = list(seen.items())
+    return got
 
 
 def _chain_orbits_relative(
@@ -521,16 +433,32 @@ def _chain_orbits_relative(
     the partition with the given blocks, under permutations fixing each
     block.  The absolute case is a single block with coarse_rank 1.
     """
+    memo: dict = {
+        n: [(tuple(reversed(p.parts)), len(p)) for p in integer_partitions(n)]
+        for n in range(1, max(len(b) for b in blocks) + 1)
+    }
+    # Each forest maps to its ranks (r(nu), r(lam_d), ..., r(lam_level)).
+    forests = {tuple(len(b) for b in blocks): (coarse_rank,)}
+    for level in range(1, d + 1):
+        cap = k - (d - level)
+        refined: dict[tuple, tuple[int, ...]] = {}
+        for forest, ranks in forests.items():
+            for combo in itertools.product(*(_tower_refinements(t, memo) for t in forest)):
+                n = sum(c for _, c in combo)
+                if ranks[-1] < n <= cap:
+                    refined[tuple(t for t, _ in combo)] = ranks + (n,)
+        forests = refined
+    # Coarsest ranks ascending, then children in decreasing canonical order.
+    order = sorted(forests, key=lambda f: [[_tower_key(c) for c in t] for t in f], reverse=True)
+    order.sort(key=forests.__getitem__)
     out: list[ChainFlag] = []
-    for combo in itertools.combinations(range(coarse_rank + 1, k + 1), d):
-        vec = tuple(reversed(combo))
-        for forest in _forest_ranked(tuple(len(b) for b in blocks), d, vec):
-            level_blocks: list[list[tuple[int, ...]]] = [[] for _ in range(d)]
-            for tower, members in zip(forest, blocks):
-                per_level = _realize_tower(tower, members, d)
-                for j in range(d):
-                    level_blocks[j].extend(per_level[j])
-            out.append(ChainFlag(k, [SetPartition(k, level_blocks[j]) for j in range(d)]))
+    for forest in order:
+        level_blocks: list[list[tuple[int, ...]]] = [[] for _ in range(d)]
+        for tower, members in zip(forest, blocks):
+            per_level = _realize_tower(tower, members, d)
+            for j in range(d):
+                level_blocks[j].extend(per_level[j])
+        out.append(ChainFlag(k, [SetPartition(k, level_blocks[j]) for j in range(d)]))
     return out
 
 

@@ -315,3 +315,10 @@ def test_criterion_12_boundary_coordinate_regime():
             assert min(seps) >= t
             assert max(seps) / min(seps) <= 1.0 / rho2 + tol
         assert previous_rho1 <= 1e-9 + tol
+
+
+def test_criterion_13_full_k8_atlas():
+    with criterion(13, 5.0, "full k=8 atlas: 5819 faces over codims 1..7"):
+        counts = [len(F.corner_atlas(8, d)) for d in range(1, 8)]
+        assert counts == [21, 180, 740, 1602, 1877, 1127, 272]
+        assert sum(counts) == 5819

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from monopole_corners.cli import main
 
 
@@ -140,6 +142,49 @@ def test_resultant_json(tmp_path, capsys):
 def test_resultant_needs_input(capsys):
     code, _, err = run_cli(capsys, "resultant")
     assert code == 2 and "error" in err
+
+
+def assert_one_line_error(code, out, err, *needles):
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+@pytest.mark.parametrize("flag,phi,psi", [("--phi", "1/0", "0"), ("--psi", "1", "0/0")])
+def test_resultant_zero_denominator(capsys, flag, phi, psi):
+    assert_one_line_error(*run_cli(capsys, "resultant", "--phi", phi, "--psi", psi), flag)
+
+
+_COMPONENT = {"center": [0, 0, 0], "diameter": 1.0, "charge": 1}
+
+
+@pytest.mark.parametrize(
+    "data,needle",
+    [
+        ({"components": 5}, "'components'"),
+        ([_COMPONENT], "JSON object"),
+        ({"components": [dict(_COMPONENT, spin=1)]}, "components[0]"),
+        ({"components": [5]}, "components[0]"),
+        ({"components": [_COMPONENT, dict(_COMPONENT, charge=1.7)]}, "components[1]: charge"),
+        ({"components": [dict(_COMPONENT, charge=True)]}, "charge"),
+        ({"components": [dict(_COMPONENT, diameter="x")]}, "diameter"),
+        ({"components": [dict(_COMPONENT, center=5)]}, "R^3"),
+        ({"components": [_COMPONENT], "r_prime": "abc"}, "r_prime"),
+    ],
+)
+def test_cluster_rejects_bad_shape(tmp_path, capsys, data, needle):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(data))
+    assert_one_line_error(*run_cli(capsys, "cluster", "--input", str(src)), needle)
+
+
+def test_cluster_accepts_integral_float_charge(tmp_path, capsys):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps({"components": [dict(_COMPONENT, charge=2.0)]}))
+    code, out, _ = run_cli(capsys, "cluster", "--input", str(src))
+    assert code == 0 and json.loads(out)["type"] == [2]
 
 
 def test_gm_weight_json(capsys):

@@ -1,8 +1,10 @@
 import random
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
+from monopole_corners import faces as F
 from monopole_corners import partitions as P
 from monopole_corners.errors import ChainError, RangeLimitError
 from monopole_corners.partitions import IntegerPartition, SetPartition
@@ -207,6 +209,74 @@ def test_chain_orbit_paper_counts():
     assert len(P.chains_mod_symmetric_group(3, 1)) == 2
     assert len(P.chains_mod_symmetric_group(4, 2)) == 5
     assert len(P.chains_mod_symmetric_group(4, 3)) == 2
+
+
+def _multiset_series(counts, n):
+    """Coefficients 0..n of prod_m (1 - x^m)^(-counts[m]): multisets of
+    objects of which counts[m] distinct kinds have size m."""
+    series = [1] + [0] * n
+    for m in range(1, n + 1):
+        series = [
+            sum(comb(counts[m] + j - 1, j) * series[i - m * j] for j in range(i // m + 1))
+            for i in range(n + 1)
+        ]
+    return series
+
+
+def _weak_tower_counts(depth, n):
+    """t_depth(0..n): relabelling orbits of weak chains lam_1 <= ... <=
+    lam_depth of partitions of an m-set; a depth-d tower is a multiset of
+    depth-(d-1) towers and a depth-0 tower is a block size."""
+    counts = [0] + [1] * n
+    for _ in range(depth):
+        counts = [0] + _multiset_series(counts, n)[1:]
+    return counts
+
+
+def chain_orbit_oracle(block_sizes, d):
+    """Orbits of strict chains lam_1 < ... < lam_d < nu under the permutations
+    fixing each nu-block, by binomial inversion of the weak-chain counts:
+    W(d) = sum_j C(d-1, j-1) (S(j) + S(j-1)) with S(0) = 1, where a weak
+    chain below nu counts prod over nu-blocks of t_d(|B|)."""
+    n = max(block_sizes)
+    strict = [1]
+    for e in range(1, d + 1):
+        weak = 1
+        for size in block_sizes:
+            weak *= _weak_tower_counts(e, n)[size]
+        lower = sum(comb(e - 1, j - 1) * (strict[j] + strict[j - 1]) for j in range(1, e))
+        strict.append(weak - lower - strict[e - 1])
+    return strict[d]
+
+
+def test_chain_orbit_oracle_hand_values():
+    p = partition_count(8)
+    zigzag = [1, 1, 2, 5, 16, 61, 272]
+    for k in range(2, 9):
+        assert chain_orbit_oracle((k,), 1) == p[k] - 1
+        assert chain_orbit_oracle((k,), k - 1) == zigzag[k - 2]
+        assert chain_orbit_oracle((k,), k) == 0
+    assert [chain_orbit_oracle((8,), d) for d in range(1, 8)] == [
+        21, 180, 740, 1602, 1877, 1127, 272,
+    ]
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_chain_orbit_counts_match_oracle(k):
+    for d in range(1, k):
+        assert len(P.chains_mod_symmetric_group(k, d)) == chain_orbit_oracle((k,), d)
+
+
+@pytest.mark.parametrize("nu", ["01011010", "01201201", "01232103"])
+def test_relative_atlas_counts_match_oracle(nu):
+    nu = SetPartition.from_rgs(nu)
+    sizes = tuple(len(b) for b in nu.blocks)
+    for d in range(1, 9 - nu.rank):
+        faces = F.corner_atlas(8, d, nu)
+        assert len(faces) == chain_orbit_oracle(sizes, d) > 0
+        assert len({tuple(f.chain) for f in faces}) == len(faces)
+    assert chain_orbit_oracle(sizes, 9 - nu.rank) == 0
+    assert F.corner_atlas(8, 9 - nu.rank, nu) == []
 
 
 def test_chain_orbit_range_errors():
