@@ -31,7 +31,6 @@ from .gibbons_manton import (
     ChernWeightSystem,
     TorusGroupStructure,
     restriction_splits,
-    smith_normal_form,
     sym_action,
     torus_group_structure,
     weight_system,

@@ -42,10 +42,7 @@ def _parse_type(s: str) -> IntegerPartition:
 
 
 def _parse_coefficients(flag: str, s: str) -> list[Fraction]:
-    try:
-        return [Fraction(x) for x in s.split(",")]
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{flag}: {s!r} is not a comma-separated list of rationals") from None
+    return [ratmaps.parse_rational(x, flag) for x in s.split(",")]
 
 
 def _faces_rows(descs) -> list[dict]:
@@ -94,12 +91,8 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _configuration_from_json(data: dict) -> clusters.Configuration:
-    return clusters.Configuration(data["points"], data.get("charges"))
-
-
 def _cmd_chain(args) -> int:
-    cfg = _configuration_from_json(_load_json(args.input))
+    cfg = clusters.Configuration.from_json_dict(_load_json(args.input))
     flag = clusters.scale_chain(cfg, args.base_scale, args.ratio_threshold)
     if args.format == "json":
         _emit(json.dumps([p.to_rgs() for p in flag], indent=2), args.output)
@@ -109,7 +102,7 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_coords(args) -> int:
-    cfg = _configuration_from_json(_load_json(args.input))
+    cfg = clusters.Configuration.from_json_dict(_load_json(args.input))
     parts = [_parse_partition(s) for s in args.chain.split(",")] if args.chain else []
     flag = ChainFlag(len(cfg.points), parts)
     coords = clusters.boundary_coords(cfg, flag)

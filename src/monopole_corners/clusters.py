@@ -33,6 +33,8 @@ from .partitions import (
     ChainFlag,
     IntegerPartition,
     SetPartition,
+    find_root,
+    group_by_root,
     one_block,
     refines_integer_partition,
     singletons,
@@ -69,16 +71,26 @@ class Configuration:
             raise ValueError("configuration needs at least one point")
         ch = None
         if charges is not None:
-            ch = tuple(int(c) for c in charges)
+            ch = tuple(_as_charge(c) for c in charges)
             if len(ch) != len(pts):
                 raise ValueError("one charge per point required")
-            if any(c < 1 for c in ch):
-                raise ValueError("charges must be positive")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "charges", ch)
 
     def __setattr__(self, name, value):
         raise AttributeError("Configuration is immutable")
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "Configuration":
+        """Parse the JSON form, naming the offending field on bad input."""
+        if not isinstance(d, dict):
+            raise ValueError(f"configuration must be a JSON object, got {type(d).__name__}")
+        if not isinstance(d.get("points"), list):
+            raise ValueError("'points' must be a list of points in R^3")
+        charges = d.get("charges")
+        if not (charges is None or isinstance(charges, list)):
+            raise ValueError("'charges' must be a list of positive integers")
+        return cls(d["points"], charges)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -112,10 +124,7 @@ class StrongFieldComponent:
         object.__setattr__(self, "center", _as_point(self.center))
         if not (_is_real(self.diameter) and math.isfinite(self.diameter) and self.diameter >= 0):
             raise ValueError(f"diameter must be a nonnegative number, got {self.diameter!r}")
-        charge = self.charge
-        if not (_is_real(charge) and math.isfinite(charge) and charge == int(charge) >= 1):
-            raise ValueError(f"charge must be a positive integer, got {charge!r}")
-        object.__setattr__(self, "charge", int(charge))
+        object.__setattr__(self, "charge", _as_charge(self.charge))
 
 
 _COMPONENT_FIELDS = frozenset(f.name for f in fields(StrongFieldComponent))
@@ -123,6 +132,13 @@ _COMPONENT_FIELDS = frozenset(f.name for f in fields(StrongFieldComponent))
 
 def _is_real(x) -> bool:
     return isinstance(x, Real) and not isinstance(x, bool)
+
+
+def _as_charge(c) -> int:
+    """A positive integer charge; integral floats such as 2.0 are accepted."""
+    if not (_is_real(c) and math.isfinite(c) and c == int(c) >= 1):
+        raise ValueError(f"charge must be a positive integer, got {c!r}")
+    return int(c)
 
 
 class StrongFieldInput:
@@ -249,21 +265,11 @@ def _threshold_groups(centers: Sequence[FracPoint], gamma: Fraction) -> list[tup
     """
     n = len(centers)
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     g2 = gamma * gamma
     for i, j in itertools.combinations(range(n), 2):
         if _dist2(centers[i], centers[j]) <= g2:
-            parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted((tuple(g) for g in groups.values()), key=lambda g: g[0])
+            parent[find_root(parent, i)] = find_root(parent, j)
+    return [tuple(g) for g in group_by_root(parent, range(n))]
 
 
 def _centroid(points: Sequence[FracPoint]) -> FracPoint:
@@ -349,26 +355,17 @@ def _single_linkage_merges(points: Sequence[Point]) -> list[tuple[float, SetPart
     """Merge events (distance, partition after the merge), coarsest last."""
     n = len(points)
     parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     pairs = sorted(
         (math.dist(points[i - 1], points[j - 1]), i, j)
         for i, j in itertools.combinations(range(1, n + 1), 2)
     )
     events = []
     for dist, i, j in pairs:
-        if find(i) == find(j):
+        ri, rj = find_root(parent, i), find_root(parent, j)
+        if ri == rj:
             continue
-        parent[find(i)] = find(j)
-        groups: dict[int, list[int]] = {}
-        for x in range(1, n + 1):
-            groups.setdefault(find(x), []).append(x)
-        events.append((dist, SetPartition(n, groups.values())))
+        parent[ri] = rj
+        events.append((dist, SetPartition(n, group_by_root(parent, range(1, n + 1)))))
         if len(events) == n - 1:
             break
     return events

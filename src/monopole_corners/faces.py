@@ -251,8 +251,4 @@ def cover_schedule(k: int) -> list[tuple[IntegerPartition, int]]:
             depth[t] = 1 + max((depth_of(s) for s in below), default=-1)
         return depth[t]
 
-    schedule = sorted(((t, depth_of(t)) for t in types), key=lambda e: (e[1], e[0].parts))
-    for (t1, d1), (t2, d2) in itertools.combinations(schedule, 2):
-        if d1 == d2 and (refines_integer_partition(t1, t2) or refines_integer_partition(t2, t1)):
-            raise AssertionError(f"comparable labels {t1}, {t2} share depth stage {d1}")
-    return schedule
+    return sorted(((t, depth_of(t)) for t in types), key=lambda e: (e[1], e[0].parts))

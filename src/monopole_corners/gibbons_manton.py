@@ -11,8 +11,7 @@ finitely checkable statement.
 
 Also here: the structure of the torus symmetry group attached to an
 integer type (k_1,...,k_n) - a torus of rank n-1 times a cyclic group of
-order gcd(k_i), obtained both from the gcd and from the Smith normal form
-of the exponent matrix.
+order gcd(k_i).
 """
 
 from __future__ import annotations
@@ -185,71 +184,6 @@ def sym_action(sigma: Sequence[int], system: ChernWeightSystem) -> ChernWeightSy
 # ---------------------------------------------------------------------------
 
 
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Smith normal form of a small integer matrix, by elementary operations.
-
-    Returns the diagonalized matrix with invariant factors d_1 | d_2 | ...
-    on the diagonal.  Sizes here are tiny, so the textbook pivoting
-    algorithm is plenty.
-    """
-    a = [list(map(int, r)) for r in rows]
-    if not a or not a[0]:
-        return [list(r) for r in a]
-    m, n = len(a), len(a[0])
-
-    def smallest_nonzero(t):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(m, n):
-        pos = smallest_nonzero(t)
-        if pos is None:
-            break
-        i, j = pos
-        a[t], a[i] = a[i], a[t]
-        for r in range(m):
-            a[r][t], a[r][j] = a[r][j], a[r][t]
-        dirty = False
-        for i in range(t + 1, m):
-            q = a[i][t] // a[t][t]
-            if q:
-                for j in range(t, n):
-                    a[i][j] -= q * a[t][j]
-            if a[i][t]:
-                dirty = True
-        for j in range(t + 1, n):
-            q = a[t][j] // a[t][t]
-            if q:
-                for i in range(t, m):
-                    a[i][j] -= q * a[i][t]
-            if a[t][j]:
-                dirty = True
-        if dirty:
-            continue
-        # divisibility condition: fold any non-multiple into the pivot
-        fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t]:
-                    for col in range(t, n):
-                        a[t][col] += a[i][col]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            if a[t][t] < 0:
-                for j in range(t, n):
-                    a[t][j] = -a[t][j]
-            t += 1
-    return a
-
-
 @dataclass(frozen=True)
 class TorusGroupStructure:
     torus_rank: int
@@ -260,19 +194,10 @@ def torus_group_structure(a: IntegerPartition) -> TorusGroupStructure:
     """Structure of {zeta in T^n : prod zeta_j^{k_j} = 1} for type (k_1..k_n).
 
     The kernel of the character is a torus of rank n-1 times a cyclic group
-    of order gcd(k_1,...,k_n).  The finite order is computed both from the
-    gcd and from the Smith normal form of the 1 x n exponent matrix; the
-    routes must agree.
+    of order gcd(k_1,...,k_n): the one invariant factor of the 1 x n
+    exponent matrix is the gcd of its entries.
     """
-    parts = list(a.parts)
-    if not parts:
-        raise ValueError("empty type")
-    d_gcd = gcd(*parts) if len(parts) > 1 else parts[0]
-    snf = smith_normal_form([parts])
-    d_snf = snf[0][0]
-    if d_snf != d_gcd:
-        raise AssertionError(f"Smith form gives {d_snf}, gcd gives {d_gcd}")
-    return TorusGroupStructure(torus_rank=len(parts) - 1, finite_order=d_gcd)
+    return TorusGroupStructure(torus_rank=len(a.parts) - 1, finite_order=gcd(*a.parts))
 
 
 def all_flags(k: int) -> list[tuple[SetPartition, SetPartition]]:

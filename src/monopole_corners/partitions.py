@@ -24,7 +24,7 @@ from .errors import ChainError, RangeLimitError
 #: Full enumeration of set partitions is capped here (Bell(12) ~ 4.2e6).
 ENUMERATION_LIMIT = 12
 
-#: Chain-orbit enumeration and flag-group brute force are capped here.
+#: Chain-orbit enumeration and flag symmetry orders are capped here.
 CHAIN_LIMIT = 8
 
 
@@ -259,25 +259,32 @@ def refines(lam: SetPartition, mu: SetPartition) -> bool:
     return all(len({owner[i] for i in b}) == 1 for b in lam.blocks)
 
 
+def find_root(parent: list[int], x: int) -> int:
+    """Root of x in the union-find forest `parent`, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def group_by_root(parent: list[int], elements: Iterable[int]) -> list[list[int]]:
+    """Elements grouped by union-find root, groups in order of first
+    appearance (for ascending elements: by smallest member)."""
+    groups: dict[int, list[int]] = {}
+    for x in elements:
+        groups.setdefault(find_root(parent, x), []).append(x)
+    return list(groups.values())
+
+
 def join(lam: SetPartition, mu: SetPartition) -> SetPartition:
     """Finest common coarsening (the lattice join under refinement order)."""
     if lam.k != mu.k:
         raise ValueError("partitions have different ground sets")
     parent = list(range(lam.k + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for b in itertools.chain(lam.blocks, mu.blocks):
         for i in b[1:]:
-            parent[find(i)] = find(b[0])
-    blocks: dict[int, list[int]] = {}
-    for i in range(1, lam.k + 1):
-        blocks.setdefault(find(i), []).append(i)
-    return SetPartition(lam.k, blocks.values())
+            parent[find_root(parent, i)] = find_root(parent, b[0])
+    return SetPartition(lam.k, group_by_root(parent, range(1, lam.k + 1)))
 
 
 def meet(lam: SetPartition, mu: SetPartition) -> SetPartition:
@@ -578,29 +585,28 @@ def symmetry_orders(lam: SetPartition) -> SymmetryOrders:
     return SymmetryOrders(stab * sym, stab, sym)
 
 
-def _preserves(sigma: Sequence[int], lam: SetPartition) -> bool:
-    block_sets = set(lam.blocks)
-    return all(tuple(sorted(sigma[i - 1] for i in b)) in block_sets for b in lam.blocks)
+def flag_symmetry_orders(lam: SetPartition, nu: SetPartition) -> FlagSymmetryOrders:
+    """Orders of the symmetry groups of the strict flag lam < nu.
 
-
-def _fixes_blockwise(sigma: Sequence[int], lam: SetPartition) -> bool:
-    idx = [0] * (lam.k + 1)
-    for n, b in enumerate(lam.blocks):
-        for i in b:
-            idx[i] = n
-    return all(idx[sigma[i - 1]] == idx[i] for i in range(1, lam.k + 1))
-
-
-def _flag_orders_formula(lam: SetPartition, nu: SetPartition) -> FlagSymmetryOrders:
-    # Within each nu-block: count lam-blocks by size; Sym0 shuffles equal
-    # sizes block-internally.  Sym additionally permutes nu-blocks whose
-    # internal lam-structure matches.
+    Sym0 consists of flag symmetries acting trivially on the coarse level:
+    within each nu-block it permutes lam-blocks of equal size.  Sym is the
+    full flag-symmetry group; it also permutes nu-blocks whose multisets of
+    lam-block sizes agree.  Both groups permute blocks, not points (shuffles
+    inside a lam-block are factored out), so their orders are products of
+    factorials of these multiplicities.
+    """
+    if lam.k != nu.k:
+        raise ValueError("partitions have different ground sets")
+    if lam == nu or not refines(lam, nu):
+        raise ValueError("need a strict flag: lam strictly finer than nu")
+    if lam.k > CHAIN_LIMIT:
+        raise RangeLimitError(f"flag symmetry orders capped at k <= {CHAIN_LIMIT}")
     sym0 = 1
     signatures: dict[tuple[int, ...], int] = {}
     for c in nu.blocks:
         cset = set(c)
-        sizes = sorted(len(b) for b in lam.blocks if b[0] in cset)
-        signatures[tuple(sizes)] = signatures.get(tuple(sizes), 0) + 1
+        sizes = tuple(sorted(len(b) for b in lam.blocks if b[0] in cset))
+        signatures[sizes] = signatures.get(sizes, 0) + 1
         counts: dict[int, int] = {}
         for s in sizes:
             counts[s] = counts.get(s, 0) + 1
@@ -610,34 +616,3 @@ def _flag_orders_formula(lam: SetPartition, nu: SetPartition) -> FlagSymmetryOrd
     for m in signatures.values():
         sym *= factorial(m)
     return FlagSymmetryOrders(sym0, sym)
-
-
-def flag_symmetry_orders(lam: SetPartition, nu: SetPartition) -> FlagSymmetryOrders:
-    """Orders of the symmetry groups of the strict flag lam < nu.
-
-    Sym0 consists of flag symmetries acting trivially on the coarse level;
-    Sym is the full flag-symmetry group.  Orders are found by enumerating
-    the symmetric group directly and cross-checked against the product
-    formula, since the two are easy to get wrong independently.
-    """
-    if lam.k != nu.k:
-        raise ValueError("partitions have different ground sets")
-    if lam == nu or not refines(lam, nu):
-        raise ValueError("need a strict flag: lam strictly finer than nu")
-    if lam.k > CHAIN_LIMIT:
-        raise RangeLimitError(f"flag enumeration capped at k <= {CHAIN_LIMIT}")
-    n_flag = 0
-    n_stab_nu = 0
-    for sigma in itertools.permutations(range(1, lam.k + 1)):
-        if _preserves(sigma, lam) and _preserves(sigma, nu):
-            n_flag += 1
-            if _fixes_blockwise(sigma, nu):
-                n_stab_nu += 1
-    stab_lam = symmetry_orders(lam).order_stab
-    got = FlagSymmetryOrders(n_stab_nu // stab_lam, n_flag // stab_lam)
-    expected = _flag_orders_formula(lam, nu)
-    if got != expected:
-        raise AssertionError(
-            f"flag symmetry orders disagree: enumerated {got}, formula {expected}"
-        )
-    return got

@@ -172,10 +172,11 @@ class RationalMapPair:
 
     `phi_phase` is an exact extra unit factor on phi (in turns); direct
     constructions have phase 0, and quarter turns are always folded into
-    the coefficients.
+    the coefficients.  The Sylvester determinant of (psi, phi) is computed
+    on first use and kept with the map; equality and hashing ignore it.
     """
 
-    __slots__ = ("k", "phi", "psi", "phi_phase")
+    __slots__ = ("k", "phi", "psi", "phi_phase", "_gauss")
 
     def __init__(self, phi: Iterable, psi: Iterable, phi_phase=0):
         phi_t = tuple(GaussianRational.coerce(c) for c in phi)
@@ -198,6 +199,7 @@ class RationalMapPair:
         object.__setattr__(self, "phi", phi_t)
         object.__setattr__(self, "psi", psi_t)
         object.__setattr__(self, "phi_phase", turns)
+        object.__setattr__(self, "_gauss", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMapPair is immutable")
@@ -227,11 +229,36 @@ class RationalMapPair:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RationalMapPair":
+        """Parse the JSON form, naming the offending field on bad input."""
+        if not isinstance(d, dict):
+            raise ValueError(f"rational-map input must be a JSON object, got {type(d).__name__}")
         return cls(
-            [GaussianRational(Fraction(p[0]), Fraction(p[1])) for p in d["phi"]],
-            [GaussianRational(Fraction(p[0]), Fraction(p[1])) for p in d["psi"]],
-            phi_phase=Fraction(d.get("phi_phase", 0)),
+            _json_coefficients(d, "phi"),
+            _json_coefficients(d, "psi"),
+            phi_phase=parse_rational(d.get("phi_phase", 0), "phi_phase"),
         )
+
+
+def parse_rational(value, where: str) -> Fraction:
+    """`Fraction(value)`, or a ValueError naming `where` when the input is
+    not a finite rational number."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{where}: {value!r} is not a rational number") from None
+
+
+def _json_coefficients(d: dict, name: str) -> list[GaussianRational]:
+    pairs = d.get(name)
+    if not isinstance(pairs, list):
+        raise ValueError(f"'{name}' must be a list of [re, im] pairs")
+    out = []
+    for i, p in enumerate(pairs):
+        where = f"{name}[{i}]"
+        if not (isinstance(p, list) and len(p) == 2):
+            raise ValueError(f"{where} must be an [re, im] pair, got {p!r}")
+        out.append(GaussianRational(parse_rational(p[0], where), parse_rational(p[1], where)))
+    return out
 
 
 def _det_bareiss(m: list[list[GaussianRational]]) -> GaussianRational:
@@ -272,7 +299,15 @@ def _sylvester(psi: Sequence[GaussianRational], phi: Sequence[GaussianRational])
 
 
 def _gauss_resultant(m: RationalMapPair) -> GaussianRational:
-    return _det_bareiss(_sylvester(m.psi, m.phi))
+    """The resultant without the phase tag, computed once per map."""
+    if m._gauss is None:
+        object.__setattr__(m, "_gauss", _det_bareiss(_sylvester(m.psi, m.phi)))
+    return m._gauss
+
+
+def _resultant_phase(m: RationalMapPair) -> Phase:
+    """exp(2*pi*i*k*phi_phase): the factor the phase tag puts on the resultant."""
+    return Phase(m.phi_phase * m.k)
 
 
 def resultant(m: RationalMapPair) -> GaussianRational:
@@ -284,11 +319,11 @@ def resultant(m: RationalMapPair) -> GaussianRational:
     two exact factors.
     """
     base = _gauss_resultant(m)
-    total = (m.phi_phase * m.k) % 1
-    unit = _QUARTER_UNITS.get(total)
+    phase = _resultant_phase(m)
+    unit = phase.as_gaussian()
     if unit is None:
         raise ValueError(
-            f"resultant is exp(2*pi*i*{total}) times {base}; not a Gaussian rational"
+            f"resultant is exp(2*pi*i*{phase.turns}) times {base}; not a Gaussian rational"
         )
     return base * unit
 
@@ -300,22 +335,17 @@ def is_based(m: RationalMapPair) -> bool:
 
 def is_centred(m: RationalMapPair) -> bool:
     """Based, traceless denominator, and unit-modulus resultant."""
-    r = _gauss_resultant(m)
-    return (not r.is_zero()) and m.psi[m.k - 1].is_zero() and r.abs2() == 1
+    return m.psi[m.k - 1].is_zero() and _gauss_resultant(m).abs2() == 1
 
 
 def is_strongly_centred(m: RationalMapPair) -> bool:
     """Based, traceless denominator, and resultant exactly 1."""
-    r = _gauss_resultant(m)
-    if r.is_zero() or not m.psi[m.k - 1].is_zero():
+    if not m.psi[m.k - 1].is_zero():
         return False
-    total = (m.phi_phase * m.k) % 1
-    unit = _QUARTER_UNITS.get(total)
-    if unit is None:
-        # exp(2*pi*i*total) is a root of unity outside the Gaussian
-        # rationals, so the product cannot equal 1.
-        return False
-    return r * unit == ONE
+    # A phase outside the Gaussian units is a root of unity outside the
+    # Gaussian rationals, so its product with the base cannot equal 1.
+    unit = _resultant_phase(m).as_gaussian()
+    return unit is not None and _gauss_resultant(m) * unit == ONE
 
 
 def torus_act(lam, m: RationalMapPair) -> RationalMapPair:

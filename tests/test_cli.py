@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from monopole_corners import ratmaps
 from monopole_corners.cli import main
 
 
@@ -178,6 +179,65 @@ def test_cluster_rejects_bad_shape(tmp_path, capsys, data, needle):
     src = tmp_path / "bad.json"
     src.write_text(json.dumps(data))
     assert_one_line_error(*run_cli(capsys, "cluster", "--input", str(src)), needle)
+
+
+_POINTS = [[0, 0, 0], [2, 0, 0]]
+
+
+@pytest.mark.parametrize("command", [["chain"], ["coords", "--chain", "01"]])
+@pytest.mark.parametrize(
+    "data,needle",
+    [
+        ({"points": 5}, "'points'"),
+        ({}, "'points'"),
+        (_POINTS, "JSON object"),
+        ({"points": _POINTS, "charges": 3}, "'charges'"),
+        ({"points": _POINTS, "charges": [1.7, 1]}, "charge"),
+        ({"points": _POINTS, "charges": ["x", 1]}, "charge"),
+        ({"points": _POINTS, "charges": [1, 0]}, "charge"),
+        ({"points": [[0, 0, 0], 5]}, "R^3"),
+    ],
+)
+def test_configuration_rejects_bad_shape(tmp_path, capsys, command, data, needle):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(data))
+    argv = [command[0], "--input", str(src), *command[1:]]
+    assert_one_line_error(*run_cli(capsys, *argv), needle)
+
+
+@pytest.mark.parametrize(
+    "data,needle",
+    [
+        ({"phi": [["1"]], "psi": [["0", "0"]]}, "phi[0]"),
+        ({"phi": [["1/0", "0"]], "psi": [["0", "0"]]}, "phi[0]"),
+        ({"phi": [["1", "0"]], "psi": [["0", "x"]]}, "psi[0]"),
+        ({"phi": [["1", "0"]], "psi": [["0", "0"], 5]}, "psi[1]"),
+        ({"phi": 5, "psi": [["0", "0"]]}, "'phi'"),
+        ({"phi": [["1", "0"]]}, "'psi'"),
+        ([["1", "0"]], "JSON object"),
+        ({"phi": [["1", "0"]], "psi": [["0", "0"]], "phi_phase": "1/0"}, "phi_phase"),
+    ],
+)
+def test_resultant_rejects_bad_map_json(tmp_path, capsys, data, needle):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(data))
+    assert_one_line_error(*run_cli(capsys, "resultant", "--input", str(src)), needle)
+
+
+def test_resultant_json_computes_the_determinant_once(capsys, monkeypatch):
+    calls = []
+    det = ratmaps._det_bareiss
+
+    def counting(m):
+        calls.append(len(m))
+        return det(m)
+
+    monkeypatch.setattr(ratmaps, "_det_bareiss", counting)
+    code, out, _ = run_cli(
+        capsys, "resultant", "--phi", "1,2,1/3", "--psi", "5,0,0", "--format", "json"
+    )
+    assert code == 0 and json.loads(out)["based"] is True
+    assert calls == [5]
 
 
 def test_cluster_accepts_integral_float_charge(tmp_path, capsys):

@@ -1,6 +1,5 @@
 import random
-from itertools import combinations
-from math import gcd, prod
+from math import gcd
 
 import pytest
 
@@ -172,54 +171,8 @@ def test_json_shape():
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form and the torus group structure.
+# The torus group structure.
 # ---------------------------------------------------------------------------
-
-
-def minors_gcd(rows, size):
-    """gcd of all size x size minors (oracle for invariant factors)."""
-    m, n = len(rows), len(rows[0])
-    dets = []
-    for ri in combinations(range(m), size):
-        for ci in combinations(range(n), size):
-            dets.append(_det([[rows[i][j] for j in ci] for i in ri]))
-    g = 0
-    for d in dets:
-        g = gcd(g, d)
-    return g
-
-
-def _det(a):
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in a[1:]]
-        total += (-1) ** j * a[0][j] * _det(minor)
-    return total
-
-
-def test_smith_normal_form_against_minors_oracle():
-    rng = random.Random(5)
-    for _ in range(30):
-        m = rng.randint(1, 3)
-        n = rng.randint(1, 3)
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        snf = GM.smith_normal_form(rows)
-        diag = [snf[i][i] for i in range(min(m, n))]
-        # off-diagonal vanishes, divisibility holds
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert snf[i][j] == 0
-        for a, b in zip(diag, diag[1:]):
-            if b:
-                assert a != 0 and b % a == 0
-        # invariant factors match gcds of minors
-        for size in range(1, min(m, n) + 1):
-            expected = minors_gcd(rows, size)
-            assert prod(diag[:size]) == expected, (rows, diag)
 
 
 def test_torus_group_examples():

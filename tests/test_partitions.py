@@ -373,6 +373,51 @@ def test_flag_symmetry_orders_rejects_non_flags():
         P.flag_symmetry_orders(P.one_block(3), P.singletons(3))
 
 
+def brute_flag_orders(lam, nu):
+    """(|Sym0|, |Sym|) of lam < nu by running over all k! permutations.
+
+    Counts the permutations preserving both levels, those among them that
+    fix every nu-block, and those that fix every lam-block; both group
+    orders are taken modulo the last (shuffles inside lam-blocks).
+    """
+    k = lam.k
+
+    def preserves(sigma, p):
+        blocks = set(p.blocks)
+        return all(tuple(sorted(sigma[i - 1] for i in b)) in blocks for b in p.blocks)
+
+    def fixes_blockwise(sigma, p):
+        return all(p.block_index(sigma[i - 1]) == p.block_index(i) for i in range(1, k + 1))
+
+    n_flag = n_stab_nu = n_stab_lam = 0
+    for sigma in permutations(range(1, k + 1)):
+        if preserves(sigma, lam) and preserves(sigma, nu):
+            n_flag += 1
+            n_stab_nu += fixes_blockwise(sigma, nu)
+            n_stab_lam += fixes_blockwise(sigma, lam)
+    assert n_flag % n_stab_lam == 0 and n_stab_nu % n_stab_lam == 0
+    return n_stab_nu // n_stab_lam, n_flag // n_stab_lam
+
+
+def test_flag_symmetry_orders_match_permutation_count():
+    n_flags = 0
+    for k in range(1, 6):
+        parts = P.all_partitions(k)
+        for lam in parts:
+            for nu in parts:
+                if lam != nu and P.refines(lam, nu):
+                    fo = P.flag_symmetry_orders(lam, nu)
+                    assert (fo.order_sym0, fo.order_sym) == brute_flag_orders(lam, nu), (lam, nu)
+                    n_flags += 1
+    assert n_flags == 359
+
+
+def test_flag_symmetry_orders_range_limit():
+    assert P.flag_symmetry_orders(P.singletons(8), P.one_block(8)).order_sym0 == 40320
+    with pytest.raises(RangeLimitError):
+        P.flag_symmetry_orders(P.singletons(9), P.one_block(9))
+
+
 def test_refines_integer_partition():
     IP = IntegerPartition
     assert P.refines_integer_partition(IP([1, 1, 2]), IP([1, 3]))

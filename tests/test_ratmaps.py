@@ -269,3 +269,14 @@ def test_json_round_trip():
         assert M.from_json_dict(json.loads(json.dumps(m.to_json_dict()))) == m
     tagged = R.torus_act(Phase(Fraction(1, 3)), M([G(1)], [G(0), G(0)]))
     assert M.from_json_dict(json.loads(json.dumps(tagged.to_json_dict()))) == tagged
+
+
+def test_stored_resultant_is_invisible():
+    m = M([G(1), G(2, 1)], [G(3), G(0)])
+    fresh = M([G(1), G(2, 1)], [G(3), G(0)])
+    r = R.resultant(m)
+    assert R.resultant(m) == r == R.resultant(fresh)
+    assert m == fresh and hash(m) == hash(fresh)
+    assert m.to_json_dict() == fresh.to_json_dict()
+    with pytest.raises(AttributeError):
+        m.k = 3
