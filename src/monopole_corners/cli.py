@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -250,9 +251,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: A value that starts like a negative number, such as -1/2 or -1,0.
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite `--phi -1/2` as `--phi=-1/2`.
+
+    argparse reads a token that starts with '-' and is not a plain negative
+    number as an option, so a coefficient list with a negative leading
+    coefficient would be refused; the `=` form is always read as a value.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in ("--phi", "--psi") and _NEGATIVE_VALUE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

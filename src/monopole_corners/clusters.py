@@ -53,6 +53,8 @@ def _as_point(p: Sequence[float]) -> Point:
         q = tuple(float(x) for x in p)
     except TypeError:
         raise ValueError(f"points live in R^3, got {p!r}") from None
+    except OverflowError:
+        raise ValueError(f"non-finite coordinate in {p!r}") from None
     if len(q) != 3:
         raise ValueError(f"points live in R^3, got {p!r}")
     if not all(math.isfinite(x) for x in q):
@@ -122,7 +124,7 @@ class StrongFieldComponent:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_point(self.center))
-        if not (_is_real(self.diameter) and math.isfinite(self.diameter) and self.diameter >= 0):
+        if not (_is_finite_real(self.diameter) and self.diameter >= 0):
             raise ValueError(f"diameter must be a nonnegative number, got {self.diameter!r}")
         object.__setattr__(self, "charge", _as_charge(self.charge))
 
@@ -130,13 +132,19 @@ class StrongFieldComponent:
 _COMPONENT_FIELDS = frozenset(f.name for f in fields(StrongFieldComponent))
 
 
-def _is_real(x) -> bool:
-    return isinstance(x, Real) and not isinstance(x, bool)
+def _is_finite_real(x) -> bool:
+    """A real number, not a bool, that a float holds as a finite value."""
+    if isinstance(x, bool) or not isinstance(x, Real):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _as_charge(c) -> int:
     """A positive integer charge; integral floats such as 2.0 are accepted."""
-    if not (_is_real(c) and math.isfinite(c) and c == int(c) >= 1):
+    if not (_is_finite_real(c) and c == int(c) >= 1):
         raise ValueError(f"charge must be a positive integer, got {c!r}")
     return int(c)
 
@@ -153,7 +161,7 @@ class StrongFieldInput:
         )
         if not comps:
             raise ValueError("need at least one strong-field component")
-        if not (_is_real(r_prime) and math.isfinite(r_prime) and r_prime > 0):
+        if not (_is_finite_real(r_prime) and r_prime > 0):
             raise ValueError(f"r_prime must be a positive number, got {r_prime!r}")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "r_prime", float(r_prime))
@@ -277,6 +285,16 @@ def _centroid(points: Sequence[FracPoint]) -> FracPoint:
     return tuple(sum(p[c] for p in points) / n for c in range(3))
 
 
+def _reported(x: Fraction, what: str) -> float:
+    """x as a float for the decomposition; a final value beyond the float
+    range is refused as input out of range (the balls only grow, so every
+    earlier round fits when the last one does)."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{what} exceeds the floating-point range") from None
+
+
 def taubes_cluster(inp: StrongFieldInput) -> ClusterDecomposition:
     """Run the threshold-merge clustering on a strong-field input.
 
@@ -325,9 +343,9 @@ def taubes_cluster(inp: StrongFieldInput) -> ClusterDecomposition:
     return ClusterDecomposition(
         omega=omega,
         centers=final_centers,
-        radius=float(r_t),
-        gamma=float(g_t),
-        diameter=float(d_t),
+        radius=_reported(r_t, "ball radius"),
+        gamma=_reported(g_t, "threshold gamma"),
+        diameter=_reported(d_t, "ball diameter"),
         rounds=t,
         cluster_type=IntegerPartition(charges),
         cluster_charges=charges,

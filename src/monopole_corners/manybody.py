@@ -3,54 +3,83 @@
 A structure is a finite meet-closed family of subspace labels with
 dimensions, containing the zero subspace and the whole space.  Subspaces are
 abstract: all face-level conclusions depend only on the containment order
-and the dimensions, so labels plus a meet table are enough, which keeps
-everything exact.  The one concrete constructor builds the family of
-diagonals of E^k modulo the total diagonal, the reduced configuration
-space of k points in R^m.
+and the dimensions, so labels plus a meet function are enough, which keeps
+everything exact.  The meet function is a lookup in a hand-built or JSON
+table, or is computed on demand.  The one concrete constructor builds the
+family of diagonals of E^k modulo the total diagonal, the reduced
+configuration space of k points in R^m, whose meets are partition joins
+computed when asked for, so no Bell(k)^2 table is ever stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from numbers import Real
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import partitions
 from .errors import ChainError
 
 
-class ManyBodyStructure:
-    """Labelled subspace family with dimensions and a (partial) meet table.
+def _as_dim(d, what: str) -> int:
+    """A nonnegative integer dimension; integral floats such as 2.0 are accepted."""
+    try:
+        ok = isinstance(d, Real) and not isinstance(d, bool) and d == int(d) >= 0
+    except (OverflowError, ValueError):  # int() of an infinity or a NaN
+        ok = False
+    if not ok:
+        raise ValueError(f"{what} must be a nonnegative integer, got {d!r}")
+    return int(d)
 
-    The partial order is derived from the meet table: a <= b iff
-    meet(a, b) == a.  A missing meet entry is recorded and reported by
-    :func:`validate` as an intersection-closure violation.
+
+class ManyBodyStructure:
+    """Labelled subspace family with dimensions and a (partial) meet.
+
+    The meet is given as a table, either a mapping from label pairs or
+    (a, b, meet) triples, or as a function of two distinct labels that
+    returns their meet, or None when there is none.  The partial order is
+    derived from it: a <= b iff meet(a, b) == a.  A missing meet, or one
+    outside the family, is reported by :func:`validate` as an
+    intersection-closure violation.
     """
 
-    __slots__ = ("ambient_dim", "dims", "_meets")
+    __slots__ = ("ambient_dim", "dims", "_meet")
 
     def __init__(
         self,
         ambient_dim: int,
         dims: Mapping[str, int],
-        meets: Mapping[frozenset, str] | Iterable[tuple[str, str, str]],
+        meets: (
+            Mapping[frozenset, str]
+            | Iterable[tuple[str, str, str]]
+            | Callable[[str, str], str | None]
+        ),
     ):
-        if ambient_dim < 0:
-            raise ValueError("ambient dimension must be nonnegative")
-        self_dims = dict(dims)
-        for label, d in self_dims.items():
-            if not 0 <= int(d) <= ambient_dim:
+        ambient_dim = _as_dim(ambient_dim, "ambient dimension")
+        self_dims = {}
+        for label, d in dict(dims).items():
+            d = _as_dim(d, f"dimension of {label!r}")
+            if d > ambient_dim:
                 raise ValueError(f"dimension of {label!r} outside 0..{ambient_dim}")
-        table: dict[frozenset, str] = {}
-        items = meets.items() if isinstance(meets, Mapping) else ((frozenset((a, b)), c) for a, b, c in meets)
-        for key, value in items:
-            pair = frozenset(key)
-            if not pair <= self_dims.keys() or value not in self_dims:
-                raise ValueError(f"meet entry {sorted(pair)} -> {value} uses unknown labels")
-            table[pair] = value
+            self_dims[label] = d
+        if callable(meets):
+            meet = meets
+        else:
+            table: dict[frozenset, str] = {}
+            items = meets.items() if isinstance(meets, Mapping) else ((frozenset((a, b)), c) for a, b, c in meets)
+            for key, value in items:
+                pair = frozenset(key)
+                if not pair <= self_dims.keys() or value not in self_dims:
+                    raise ValueError(f"meet entry {sorted(pair)} -> {value} uses unknown labels")
+                table[pair] = value
+
+            def meet(a: str, b: str) -> str | None:
+                return table.get(frozenset((a, b)))
+
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "dims", self_dims)
-        object.__setattr__(self, "_meets", table)
+        object.__setattr__(self, "_meet", meet)
 
     def __setattr__(self, name, value):
         raise AttributeError("ManyBodyStructure is immutable")
@@ -65,14 +94,20 @@ class ManyBodyStructure:
         except KeyError:
             raise ValueError(f"unknown label {label!r}") from None
 
-    def meet(self, a: str, b: str) -> str:
-        self.dim(a), self.dim(b)
+    def _meet_or_none(self, a: str, b: str) -> str | None:
+        """The meet of two labels of the family, None when it is missing
+        or outside the family."""
         if a == b:
             return a
-        try:
-            return self._meets[frozenset((a, b))]
-        except KeyError:
-            raise ValueError(f"no meet recorded for {a!r}, {b!r}") from None
+        c = self._meet(a, b)
+        return c if c in self.dims else None
+
+    def meet(self, a: str, b: str) -> str:
+        self.dim(a), self.dim(b)
+        c = self._meet_or_none(a, b)
+        if c is None:
+            raise ValueError(f"no meet recorded for {a!r}, {b!r}")
+        return c
 
     def leq(self, a: str, b: str) -> bool:
         return self.meet(a, b) == a
@@ -90,14 +125,20 @@ class ManyBodyStructure:
         raise ValueError("structure has no top element")
 
     def to_json_dict(self) -> dict:
-        elements = [{"label": l, "dim": self.dims[l]} for l in self.labels]
-        meets = sorted([sorted(pair) + [value] for pair, value in self._meets.items()])
+        labels = self.labels
+        elements = [{"label": l, "dim": self.dims[l]} for l in labels]
+        meets = []
+        for a, b in combinations(labels, 2):
+            c = self._meet_or_none(a, b)
+            if c is not None:
+                meets.append(sorted((a, b)) + [c])
+        meets.sort()
         return {"ambient_dim": self.ambient_dim, "elements": elements, "meets": meets}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ManyBodyStructure":
-        dims = {e["label"]: int(e["dim"]) for e in d["elements"]}
-        return cls(int(d["ambient_dim"]), dims, [tuple(row) for row in d["meets"]])
+        dims = {e["label"]: e["dim"] for e in d["elements"]}
+        return cls(d["ambient_dim"], dims, [tuple(row) for row in d["meets"]])
 
 
 @dataclass(frozen=True)
@@ -133,70 +174,67 @@ def diagonal_structure(k: int, m: int) -> ManyBodyStructure:
 
     The subspace attached to a partition has dimension m*(r-1) where r is
     its number of blocks; intersecting two diagonals corresponds to joining
-    the partitions.
+    the partitions, which is done on block bitmasks each time a meet is
+    asked for.
     """
     if k < 2:
         raise ValueError(f"need at least two points, got k={k}")
     if m < 1:
         raise ValueError(f"need positive euclidean dimension, got m={m}")
-    parts = partitions.all_partitions(k)
-    dims = {p.to_rgs(): m * (p.rank - 1) for p in parts}
-    meets = {}
-    for a, b in combinations(parts, 2):
-        meets[frozenset((a.to_rgs(), b.to_rgs()))] = partitions.join(a, b).to_rgs()
-    return ManyBodyStructure(m * (k - 1), dims, meets)
+    masks = {p.to_rgs(): partitions.block_masks(p) for p in partitions.all_partitions(k)}
+    label_of = {frozenset(m): label for label, m in masks.items()}
+    dims = {label: m * (len(blocks) - 1) for label, blocks in masks.items()}
+    join_masks = partitions.join_masks
+
+    def meet(a: str, b: str) -> str:
+        return label_of[join_masks(masks[a], masks[b])]
+
+    return ManyBodyStructure(m * (k - 1), dims, meet)
 
 
 def validate(ws: ManyBodyStructure) -> list[str]:
     """Check the subspace-family axioms; violations come back as data.
 
     Checked: a zero and a top element exist and behave as least/greatest,
-    every pair has a recorded meet which is a common lower bound, and
+    every pair has a meet in the family which is a common lower bound, and
     dimension is strictly monotone along strict containment.
     """
     violations: list[str] = []
     labels = ws.labels
-    zeros = [l for l in labels if ws.dims[l] == 0]
+    dims = ws.dims
+    zeros = [l for l in labels if dims[l] == 0]
     if len(zeros) != 1:
         violations.append(f"expected exactly one zero element, found {zeros}")
-    tops = [l for l in labels if ws.dims[l] == ws.ambient_dim]
+    tops = [l for l in labels if dims[l] == ws.ambient_dim]
     if len(tops) != 1:
         violations.append(f"expected exactly one top element, found {tops}")
 
-    missing = []
+    meet = ws._meet_or_none
+    pair_violations: list[str] = []
     for a, b in combinations(labels, 2):
-        if frozenset((a, b)) not in ws._meets:
-            missing.append((a, b))
-    for a, b in missing:
-        violations.append(f"closure violation: no meet for {a!r}, {b!r}")
+        c = meet(a, b)
+        if c is None:
+            violations.append(f"closure violation: no meet for {a!r}, {b!r}")
+            continue
+        # when c is a or b, meet(c, a) and meet(c, b) are c by definition
+        if c != a and c != b and (meet(c, a) != c or meet(c, b) != c):
+            pair_violations.append(f"meet({a!r},{b!r})={c!r} is not a common lower bound")
+        if c == a and dims[a] >= dims[b]:
+            pair_violations.append(f"dimension not monotone: {a!r} < {b!r} but dims {dims[a]} >= {dims[b]}")
+        if c == b and dims[b] >= dims[a]:
+            pair_violations.append(f"dimension not monotone: {b!r} < {a!r} but dims {dims[b]} >= {dims[a]}")
 
-    def meet_or_none(a: str, b: str):
-        if a == b:
-            return a
-        return ws._meets.get(frozenset((a, b)))
-
-    if zeros and len(zeros) == 1:
+    if len(zeros) == 1:
         z = zeros[0]
         for l in labels:
-            if meet_or_none(z, l) not in (z, None):
+            if meet(z, l) not in (z, None):
                 violations.append(f"zero element {z!r} is not below {l!r}")
-    if tops and len(tops) == 1:
+    if len(tops) == 1:
         t = tops[0]
         for l in labels:
-            if meet_or_none(t, l) not in (l, None):
+            if meet(t, l) not in (l, None):
                 violations.append(f"top element {t!r} is not above {l!r}")
-
-    for a, b in combinations(labels, 2):
-        c = meet_or_none(a, b)
-        if c is None:
-            continue
-        if meet_or_none(c, a) != c or meet_or_none(c, b) != c:
-            violations.append(f"meet({a!r},{b!r})={c!r} is not a common lower bound")
-        if c == a and ws.dims[a] >= ws.dims[b]:
-            violations.append(f"dimension not monotone: {a!r} < {b!r} but dims {ws.dims[a]} >= {ws.dims[b]}")
-        if c == b and ws.dims[b] >= ws.dims[a]:
-            violations.append(f"dimension not monotone: {b!r} < {a!r} but dims {ws.dims[b]} >= {ws.dims[a]}")
-    return violations
+    return violations + pair_violations
 
 
 def hypersurfaces(ws: ManyBodyStructure) -> list[str]:

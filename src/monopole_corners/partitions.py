@@ -276,15 +276,39 @@ def group_by_root(parent: list[int], elements: Iterable[int]) -> list[list[int]]
     return list(groups.values())
 
 
+def block_masks(lam: SetPartition) -> tuple[int, ...]:
+    """The blocks of lam as bitmasks, bit i - 1 standing for element i."""
+    return tuple(sum(1 << (i - 1) for i in b) for b in lam.blocks)
+
+
+def join_masks(a: Sequence[int], b: Iterable[int]) -> frozenset[int]:
+    """Blocks of the finest common coarsening of two partitions of one
+    ground set, both given as block bitmasks (see :func:`block_masks`).
+
+    Each block of b merges the blocks it meets; a singleton block meets
+    exactly one and is skipped.
+    """
+    blocks = a
+    for mb in b:
+        if mb & (mb - 1):
+            merged = mb
+            rest = []
+            for x in blocks:
+                if x & mb:
+                    merged |= x
+                else:
+                    rest.append(x)
+            rest.append(merged)
+            blocks = rest
+    return frozenset(blocks)
+
+
 def join(lam: SetPartition, mu: SetPartition) -> SetPartition:
     """Finest common coarsening (the lattice join under refinement order)."""
     if lam.k != mu.k:
         raise ValueError("partitions have different ground sets")
-    parent = list(range(lam.k + 1))
-    for b in itertools.chain(lam.blocks, mu.blocks):
-        for i in b[1:]:
-            parent[find_root(parent, i)] = find_root(parent, b[0])
-    return SetPartition(lam.k, group_by_root(parent, range(1, lam.k + 1)))
+    blocks = join_masks(block_masks(lam), block_masks(mu))
+    return SetPartition(lam.k, ([i + 1 for i in range(lam.k) if m >> i & 1] for m in blocks))
 
 
 def meet(lam: SetPartition, mu: SetPartition) -> SetPartition:

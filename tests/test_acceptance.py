@@ -13,6 +13,7 @@ from time import perf_counter
 from monopole_corners import clusters as C
 from monopole_corners import faces as F
 from monopole_corners import gibbons_manton as GM
+from monopole_corners import manybody as MB
 from monopole_corners import partitions as P
 from monopole_corners import ratmaps as R
 from monopole_corners.partitions import IntegerPartition as IP
@@ -322,3 +323,10 @@ def test_criterion_13_full_k8_atlas():
         counts = [len(F.corner_atlas(8, d)) for d in range(1, 8)]
         assert counts == [21, 180, 740, 1602, 1877, 1127, 272]
         assert sum(counts) == 5819
+
+
+def test_criterion_14_k7_many_body_structure():
+    with criterion(14, 5.0, "k=7 many-body diagonals in R^3: 877 elements, every pair valid"):
+        ws = MB.diagonal_structure(7, 3)
+        assert len(ws.labels) == 877
+        assert MB.validate(ws) == []

@@ -158,7 +158,29 @@ def test_resultant_zero_denominator(capsys, flag, phi, psi):
     assert_one_line_error(*run_cli(capsys, "resultant", "--phi", phi, "--psi", psi), flag)
 
 
+@pytest.mark.parametrize(
+    "spaced,joined",
+    [
+        (["--phi", "-1/2", "--psi", "0,1"], ["--phi=-1/2", "--psi=0,1"]),
+        (["--phi", "1,2", "--psi", "-1,1"], ["--phi=1,2", "--psi=-1,1"]),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["value", "json"])
+def test_resultant_negative_leading_coefficient(capsys, spaced, joined, fmt):
+    code, out, err = run_cli(capsys, "resultant", *spaced, "--format", fmt)
+    assert code == 0 and err == "" and out
+    assert run_cli(capsys, "resultant", *joined, "--format", fmt) == (code, out, err)
+
+
+def test_resultant_trailing_flag_without_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["resultant", "--psi", "1", "--phi"])
+    assert exc.value.code == 2
+    assert "--phi: expected one argument" in capsys.readouterr().err
+
+
 _COMPONENT = {"center": [0, 0, 0], "diameter": 1.0, "charge": 1}
+_HUGE = 10**400  # a JSON integer no float can hold
 
 
 @pytest.mark.parametrize(
@@ -173,6 +195,10 @@ _COMPONENT = {"center": [0, 0, 0], "diameter": 1.0, "charge": 1}
         ({"components": [dict(_COMPONENT, diameter="x")]}, "diameter"),
         ({"components": [dict(_COMPONENT, center=5)]}, "R^3"),
         ({"components": [_COMPONENT], "r_prime": "abc"}, "r_prime"),
+        ({"components": [_COMPONENT], "r_prime": _HUGE}, "r_prime"),
+        ({"components": [dict(_COMPONENT, diameter=_HUGE)]}, "diameter"),
+        ({"components": [dict(_COMPONENT, center=[_HUGE, 0, 0])]}, "non-finite"),
+        ({"components": [dict(_COMPONENT, diameter=1e308)]}, "floating-point range"),
     ],
 )
 def test_cluster_rejects_bad_shape(tmp_path, capsys, data, needle):
@@ -196,6 +222,8 @@ _POINTS = [[0, 0, 0], [2, 0, 0]]
         ({"points": _POINTS, "charges": ["x", 1]}, "charge"),
         ({"points": _POINTS, "charges": [1, 0]}, "charge"),
         ({"points": [[0, 0, 0], 5]}, "R^3"),
+        ({"points": [[_HUGE, 0, 0], [1, 0, 0]]}, "non-finite"),
+        ({"points": _POINTS, "charges": [_HUGE, 1]}, "charge"),
     ],
 )
 def test_configuration_rejects_bad_shape(tmp_path, capsys, command, data, needle):

@@ -1,5 +1,5 @@
 import json
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -84,6 +84,79 @@ def test_comparable():
         MB.comparable(ws, a, "nope")
 
 
+def _rgs_labels(k):
+    """Every restricted-growth string of length k."""
+    return [
+        "".join(map(str, w))
+        for w in product(range(k), repeat=k)
+        if all(x <= max(w[:i], default=-1) + 1 for i, x in enumerate(w))
+    ]
+
+
+def _closure_join(a, b):
+    """Finest common coarsening of two RGS labels: the transitive closure
+    of "same block in a or in b" (Warshall), relabelled by first use."""
+    k = len(a)
+    rel = [[a[i] == a[j] or b[i] == b[j] for j in range(k)] for i in range(k)]
+    for m in range(k):
+        for i in range(k):
+            if rel[i][m]:
+                rel[i] = [x or y for x, y in zip(rel[i], rel[m])]
+    first = {}
+    return "".join(str(first.setdefault(rel[i].index(True), len(first))) for i in range(k))
+
+
+def test_meet_matches_closure_oracle_on_every_pair():
+    for k in range(2, 6):
+        ws = MB.diagonal_structure(k, 3)
+        labels = _rgs_labels(k)
+        assert sorted(ws.labels) == labels
+        for a, b in product(labels, repeat=2):
+            assert ws.meet(a, b) == _closure_join(a, b)
+
+
+def test_json_pinned_to_closure_oracle_table():
+    labels = sorted(_rgs_labels(4), key=lambda l: (len(set(l)), l))
+    want = {
+        "ambient_dim": 6,
+        "elements": [{"label": l, "dim": 2 * (len(set(l)) - 1)} for l in labels],
+        "meets": sorted(sorted((a, b)) + [_closure_join(a, b)] for a, b in combinations(labels, 2)),
+    }
+    assert MB.diagonal_structure(4, 2).to_json_dict() == want
+
+
+def test_validate_flags_a_bad_computed_meet():
+    ws = MB.diagonal_structure(3, 1)
+
+    def with_pair(value):
+        def meet(a, b):
+            return value if {a, b} == {"001", "010"} else ws.meet(a, b)
+        return MB.ManyBodyStructure(ws.ambient_dim, ws.dims, meet)
+
+    assert MB.validate(with_pair("000")) == []
+    assert MB.validate(with_pair("011")) == ["meet('001','010')='011' is not a common lower bound"]
+    outside = with_pair("nope")
+    assert MB.validate(outside) == ["closure violation: no meet for '001', '010'"]
+    with pytest.raises(ValueError, match="no meet recorded"):
+        outside.meet("001", "010")
+    assert ["001", "010", "nope"] not in outside.to_json_dict()["meets"]
+
+
+def test_diagonal_meets_are_computed_on_demand(monkeypatch):
+    calls = []
+    kernel = P.join_masks
+
+    def counting(a, b):
+        calls.append(1)
+        return kernel(a, b)
+
+    monkeypatch.setattr(P, "join_masks", counting)
+    ws = MB.diagonal_structure(7, 3)
+    assert calls == []
+    assert ws.meet("0101010", "0011001") == "0000000"
+    assert calls == [1]
+
+
 def test_containment_matches_refinement_exhaustively():
     for k in range(2, 6):
         ws = MB.diagonal_structure(k, 3)
@@ -158,6 +231,30 @@ def test_constructor_validation():
         MB.ManyBodyStructure(2, {"a": 5}, [])
     with pytest.raises(ValueError):
         MB.ManyBodyStructure(2, {"a": 1}, [("a", "b", "a")])
+
+
+@pytest.mark.parametrize("bad", [1.7, True, "1", None, float("nan"), float("inf"), -1])
+def test_dimensions_must_be_integers(bad):
+    with pytest.raises(ValueError, match="dimension"):
+        MB.ManyBodyStructure(2, {"0": 0, "a": bad}, [])
+    with pytest.raises(ValueError, match="ambient dimension"):
+        MB.ManyBodyStructure(bad, {}, [])
+    good = MB.diagonal_structure(2, 1).to_json_dict()
+    for field in ("ambient_dim", "dim"):
+        data = json.loads(json.dumps(good))
+        if field == "dim":
+            data["elements"][1]["dim"] = bad
+        else:
+            data["ambient_dim"] = bad
+        with pytest.raises(ValueError, match="dimension"):
+            MB.ManyBodyStructure.from_json_dict(data)
+
+
+def test_integral_float_dimensions_are_accepted():
+    ws = MB.ManyBodyStructure(2.0, {"0": 0.0, "V": 2}, [("0", "V", "0")])
+    assert ws.ambient_dim == 2 and ws.dims == {"0": 0, "V": 2}
+    assert all(type(d) is int for d in [ws.ambient_dim, *ws.dims.values()])
+    assert MB.validate(ws) == []
 
 
 def test_json_round_trip():
