@@ -13,9 +13,9 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import clusters, faces, gibbons_manton, ratmaps
+from .inputs import as_rational
 from .partitions import ChainFlag, IntegerPartition, SetPartition
 
 
@@ -34,24 +34,8 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _parse_partition(s: str) -> SetPartition:
-    return SetPartition.from_rgs(s)
-
-
-def _parse_type(s: str) -> IntegerPartition:
-    return IntegerPartition(int(x) for x in s.split(","))
-
-
-def _parse_coefficients(flag: str, s: str) -> list[Fraction]:
-    return [ratmaps.parse_rational(x, flag) for x in s.split(",")]
-
-
-def _faces_rows(descs) -> list[dict]:
-    return [d.to_json_dict() for d in descs]
-
-
 def _format_faces(descs, fmt: str) -> str:
-    rows = _faces_rows(descs)
+    rows = [d.to_json_dict() for d in descs]
     if fmt == "json":
         return json.dumps(rows, indent=2)
     header = f"{'chain':<24} {'codim':>5} {'total':>5} {'fiber':>5} {'bases':<12} types"
@@ -71,7 +55,7 @@ def _format_faces(descs, fmt: str) -> str:
 
 
 def _cmd_faces(args) -> int:
-    nu = _parse_partition(args.nu) if args.nu else None
+    nu = SetPartition.from_rgs(args.nu) if args.nu else None
     if args.codim is None:
         descs = faces.hypersurface_atlas(args.k, nu=nu)
     else:
@@ -104,7 +88,7 @@ def _cmd_chain(args) -> int:
 
 def _cmd_coords(args) -> int:
     cfg = clusters.Configuration.from_json_dict(_load_json(args.input))
-    parts = [_parse_partition(s) for s in args.chain.split(",")] if args.chain else []
+    parts = [SetPartition.from_rgs(s) for s in args.chain.split(",")] if args.chain else []
     flag = ChainFlag(len(cfg.points), parts)
     coords = clusters.boundary_coords(cfg, flag)
     _emit(json.dumps(coords), args.output)
@@ -118,7 +102,8 @@ def _cmd_resultant(args) -> int:
         if not (args.phi and args.psi):
             raise ValueError("need --input or both --phi and --psi")
         pair = ratmaps.RationalMapPair(
-            _parse_coefficients("--phi", args.phi), _parse_coefficients("--psi", args.psi)
+            [as_rational(x, "--phi") for x in args.phi.split(",")],
+            [as_rational(x, "--psi") for x in args.psi.split(",")],
         )
     value = ratmaps.resultant(pair)
     if args.format == "json":
@@ -135,15 +120,16 @@ def _cmd_resultant(args) -> int:
 
 
 def _cmd_gm(args) -> int:
-    lam = _parse_partition(args.lam)
-    nu = _parse_partition(args.nu)
+    lam = SetPartition.from_rgs(args.lam)
+    nu = SetPartition.from_rgs(args.nu)
     system = gibbons_manton.weight_system(lam, nu)
     _emit(json.dumps(system.to_json_dict(), indent=2), args.output)
     return 0
 
 
 def _cmd_torus_group(args) -> int:
-    structure = gibbons_manton.torus_group_structure(_parse_type(args.type))
+    parts = IntegerPartition(int(x) for x in args.type.split(","))
+    structure = gibbons_manton.torus_group_structure(parts)
     _emit(
         json.dumps(
             {"torus_rank": structure.torus_rank, "finite_order": structure.finite_order}
@@ -276,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

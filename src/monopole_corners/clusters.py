@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Real
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInputError
+from .inputs import as_int, as_list, as_object, as_real
 from .partitions import (
     ChainFlag,
     IntegerPartition,
@@ -48,18 +48,14 @@ DEFAULT_RATIO_THRESHOLD = 10.0
 Point = tuple[float, float, float]
 
 
-def _as_point(p: Sequence[float]) -> Point:
+def _point(p, what: str) -> Point:
+    """Three finite real coordinates; `what` names the point in errors."""
     try:
-        q = tuple(float(x) for x in p)
-    except TypeError:
-        raise ValueError(f"points live in R^3, got {p!r}") from None
-    except OverflowError:
-        raise ValueError(f"non-finite coordinate in {p!r}") from None
-    if len(q) != 3:
-        raise ValueError(f"points live in R^3, got {p!r}")
-    if not all(math.isfinite(x) for x in q):
-        raise ValueError(f"non-finite coordinate in {p!r}")
-    return q
+        x, y, z = p
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a point of R^3, got {p!r}") from None
+    what = f"{what} coordinate"
+    return as_real(x, what), as_real(y, what), as_real(z, what)
 
 
 class Configuration:
@@ -68,12 +64,12 @@ class Configuration:
     __slots__ = ("points", "charges")
 
     def __init__(self, points: Iterable[Sequence[float]], charges: Iterable[int] | None = None):
-        pts = tuple(_as_point(p) for p in points)
+        pts = tuple(_point(p, f"points[{i}]") for i, p in enumerate(points))
         if not pts:
             raise ValueError("configuration needs at least one point")
         ch = None
         if charges is not None:
-            ch = tuple(_as_charge(c) for c in charges)
+            ch = tuple(as_int(c, "charge", 1) for c in charges)
             if len(ch) != len(pts):
                 raise ValueError("one charge per point required")
         object.__setattr__(self, "points", pts)
@@ -85,14 +81,11 @@ class Configuration:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Configuration":
         """Parse the JSON form, naming the offending field on bad input."""
-        if not isinstance(d, dict):
-            raise ValueError(f"configuration must be a JSON object, got {type(d).__name__}")
-        if not isinstance(d.get("points"), list):
-            raise ValueError("'points' must be a list of points in R^3")
-        charges = d.get("charges")
-        if not (charges is None or isinstance(charges, list)):
-            raise ValueError("'charges' must be a list of positive integers")
-        return cls(d["points"], charges)
+        d = as_object(d, "configuration")
+        points = as_list(d, "points", "a list of points in R^3")
+        if d.get("charges") is None:
+            return cls(points)
+        return cls(points, as_list(d, "charges", "a list of positive integers"))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -123,30 +116,10 @@ class StrongFieldComponent:
     charge: int
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _as_point(self.center))
-        if not (_is_finite_real(self.diameter) and self.diameter >= 0):
-            raise ValueError(f"diameter must be a nonnegative number, got {self.diameter!r}")
-        object.__setattr__(self, "charge", _as_charge(self.charge))
-
-
-_COMPONENT_FIELDS = frozenset(f.name for f in fields(StrongFieldComponent))
-
-
-def _is_finite_real(x) -> bool:
-    """A real number, not a bool, that a float holds as a finite value."""
-    if isinstance(x, bool) or not isinstance(x, Real):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
-
-
-def _as_charge(c) -> int:
-    """A positive integer charge; integral floats such as 2.0 are accepted."""
-    if not (_is_finite_real(c) and c == int(c) >= 1):
-        raise ValueError(f"charge must be a positive integer, got {c!r}")
-    return int(c)
+        object.__setattr__(self, "center", _point(self.center, "center"))
+        if as_real(self.diameter, "diameter") < 0:
+            raise ValueError(f"diameter must be nonnegative, got {self.diameter!r}")
+        object.__setattr__(self, "charge", as_int(self.charge, "charge", 1))
 
 
 class StrongFieldInput:
@@ -161,10 +134,11 @@ class StrongFieldInput:
         )
         if not comps:
             raise ValueError("need at least one strong-field component")
-        if not (_is_finite_real(r_prime) and r_prime > 0):
-            raise ValueError(f"r_prime must be a positive number, got {r_prime!r}")
+        r_prime = as_real(r_prime, "r_prime")
+        if r_prime <= 0:
+            raise ValueError(f"r_prime must be positive, got {r_prime!r}")
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "r_prime", float(r_prime))
+        object.__setattr__(self, "r_prime", r_prime)
 
     def __setattr__(self, name, value):
         raise AttributeError("StrongFieldInput is immutable")
@@ -172,22 +146,12 @@ class StrongFieldInput:
     @classmethod
     def from_json_dict(cls, d: dict) -> "StrongFieldInput":
         """Parse the JSON form, naming the offending field on bad input."""
-        if not isinstance(d, dict):
-            raise ValueError(f"strong-field input must be a JSON object, got {type(d).__name__}")
-        if not isinstance(d.get("components"), list):
-            raise ValueError("'components' must be a list of component objects")
+        d = as_object(d, "strong-field input")
         comps = []
-        for i, c in enumerate(d["components"]):
-            if not isinstance(c, dict):
-                raise ValueError(f"components[{i}] must be an object, got {type(c).__name__}")
-            if set(c) != _COMPONENT_FIELDS:
-                raise ValueError(
-                    f"components[{i}] needs exactly the fields {sorted(_COMPONENT_FIELDS)},"
-                    f" got {sorted(c)}"
-                )
+        for i, c in enumerate(as_list(d, "components", "a list of component objects")):
             try:
-                comps.append(StrongFieldComponent(**c))
-            except ValueError as exc:
+                comps.append(StrongFieldComponent(**as_object(c, "a component")))
+            except (TypeError, ValueError) as exc:  # TypeError: a missing or unknown field
                 raise ValueError(f"components[{i}]: {exc}") from None
         return cls(comps, r_prime=d.get("r_prime", 1.0))
 

@@ -15,22 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from numbers import Real
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import partitions
 from .errors import ChainError
-
-
-def _as_dim(d, what: str) -> int:
-    """A nonnegative integer dimension; integral floats such as 2.0 are accepted."""
-    try:
-        ok = isinstance(d, Real) and not isinstance(d, bool) and d == int(d) >= 0
-    except (OverflowError, ValueError):  # int() of an infinity or a NaN
-        ok = False
-    if not ok:
-        raise ValueError(f"{what} must be a nonnegative integer, got {d!r}")
-    return int(d)
+from .inputs import as_int, as_list, as_object
 
 
 class ManyBodyStructure:
@@ -56,10 +45,10 @@ class ManyBodyStructure:
             | Callable[[str, str], str | None]
         ),
     ):
-        ambient_dim = _as_dim(ambient_dim, "ambient dimension")
+        ambient_dim = as_int(ambient_dim, "ambient dimension", 0)
         self_dims = {}
         for label, d in dict(dims).items():
-            d = _as_dim(d, f"dimension of {label!r}")
+            d = as_int(d, f"dimension of {label!r}", 0)
             if d > ambient_dim:
                 raise ValueError(f"dimension of {label!r} outside 0..{ambient_dim}")
             self_dims[label] = d
@@ -137,8 +126,18 @@ class ManyBodyStructure:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ManyBodyStructure":
-        dims = {e["label"]: e["dim"] for e in d["elements"]}
-        return cls(d["ambient_dim"], dims, [tuple(row) for row in d["meets"]])
+        """Parse the JSON form, naming the offending field on bad input."""
+        d = as_object(d, "many-body structure")
+        dims = {}
+        for i, e in enumerate(as_list(d, "elements", "a list of {label, dim} objects")):
+            if not isinstance(as_object(e, f"elements[{i}]").get("label"), str):
+                raise ValueError(f"elements[{i}] needs a string 'label'")
+            dims[e["label"]] = e.get("dim")
+        meets = as_list(d, "meets", "a list of [a, b, meet] label triples")
+        if not all(isinstance(r, list) and len(r) == 3 and all(isinstance(l, str) for l in r)
+                   for r in meets):
+            raise ValueError("'meets' must be a list of [a, b, meet] label triples")
+        return cls(d.get("ambient_dim"), dims, [tuple(r) for r in meets])
 
 
 @dataclass(frozen=True)

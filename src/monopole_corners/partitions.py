@@ -20,6 +20,7 @@ from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ChainError, RangeLimitError
+from .inputs import as_int, as_list, as_object
 
 #: Full enumeration of set partitions is capped here (Bell(12) ~ 4.2e6).
 ENUMERATION_LIMIT = 12
@@ -111,7 +112,8 @@ class SetPartition:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SetPartition":
-        return cls(int(d["k"]), d["blocks"])
+        d = as_object(d, "set partition")
+        return cls(as_int(d.get("k"), "k", 1), as_list(d, "blocks", "a list of blocks"))
 
     def __eq__(self, other) -> bool:
         return (

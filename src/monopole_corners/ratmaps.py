@@ -23,6 +23,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .inputs import as_list, as_object, as_rational
+
 
 class GaussianRational:
     """An exact complex number with rational real and imaginary parts."""
@@ -230,34 +232,21 @@ class RationalMapPair:
     @classmethod
     def from_json_dict(cls, d: dict) -> "RationalMapPair":
         """Parse the JSON form, naming the offending field on bad input."""
-        if not isinstance(d, dict):
-            raise ValueError(f"rational-map input must be a JSON object, got {type(d).__name__}")
+        d = as_object(d, "rational-map input")
         return cls(
             _json_coefficients(d, "phi"),
             _json_coefficients(d, "psi"),
-            phi_phase=parse_rational(d.get("phi_phase", 0), "phi_phase"),
+            phi_phase=as_rational(d.get("phi_phase", 0), "phi_phase"),
         )
 
 
-def parse_rational(value, where: str) -> Fraction:
-    """`Fraction(value)`, or a ValueError naming `where` when the input is
-    not a finite rational number."""
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ValueError(f"{where}: {value!r} is not a rational number") from None
-
-
 def _json_coefficients(d: dict, name: str) -> list[GaussianRational]:
-    pairs = d.get(name)
-    if not isinstance(pairs, list):
-        raise ValueError(f"'{name}' must be a list of [re, im] pairs")
     out = []
-    for i, p in enumerate(pairs):
+    for i, p in enumerate(as_list(d, name, "a list of [re, im] pairs")):
         where = f"{name}[{i}]"
         if not (isinstance(p, list) and len(p) == 2):
             raise ValueError(f"{where} must be an [re, im] pair, got {p!r}")
-        out.append(GaussianRational(parse_rational(p[0], where), parse_rational(p[1], where)))
+        out.append(GaussianRational(as_rational(p[0], where), as_rational(p[1], where)))
     return out
 
 

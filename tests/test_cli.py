@@ -199,6 +199,12 @@ _HUGE = 10**400  # a JSON integer no float can hold
         ({"components": [dict(_COMPONENT, diameter=_HUGE)]}, "diameter"),
         ({"components": [dict(_COMPONENT, center=[_HUGE, 0, 0])]}, "non-finite"),
         ({"components": [dict(_COMPONENT, diameter=1e308)]}, "floating-point range"),
+        ({"components": [dict(_COMPONENT, center=[0, "0", 0])]}, "center"),
+        ({"components": [dict(_COMPONENT, center=[0, 0, False])]}, "center"),
+        ({"components": [dict(_COMPONENT, diameter=True)]}, "diameter"),
+        ({"components": [dict(_COMPONENT, diameter="1")]}, "diameter"),
+        ({"components": [dict(_COMPONENT, charge="2")]}, "charge"),
+        ({"components": [_COMPONENT], "r_prime": True}, "r_prime"),
     ],
 )
 def test_cluster_rejects_bad_shape(tmp_path, capsys, data, needle):
@@ -224,6 +230,9 @@ _POINTS = [[0, 0, 0], [2, 0, 0]]
         ({"points": [[0, 0, 0], 5]}, "R^3"),
         ({"points": [[_HUGE, 0, 0], [1, 0, 0]]}, "non-finite"),
         ({"points": _POINTS, "charges": [_HUGE, 1]}, "charge"),
+        ({"points": _POINTS, "charges": [True, 1]}, "charge"),
+        ({"points": [["0", "0", "0"], ["1e1", "0", "0"]]}, "points[0]"),
+        ({"points": [[0, 0, 0], [True, 0, 0]]}, "points[1]"),
     ],
 )
 def test_configuration_rejects_bad_shape(tmp_path, capsys, command, data, needle):
@@ -244,6 +253,10 @@ def test_configuration_rejects_bad_shape(tmp_path, capsys, command, data, needle
         ({"phi": [["1", "0"]]}, "'psi'"),
         ([["1", "0"]], "JSON object"),
         ({"phi": [["1", "0"]], "psi": [["0", "0"]], "phi_phase": "1/0"}, "phi_phase"),
+        ({"phi": [[True, False]], "psi": [["0", "0"], [True, "0"]]}, "phi[0]"),
+        ({"phi": [["1", "0"]], "psi": [["0", "0"]], "phi_phase": True}, "phi_phase"),
+        ({"phi": [[1.5, "0"]], "psi": [["0", "0"]]}, "phi[0]"),
+        ({"phi": [["1", 0.0]], "psi": [["0", "0"]]}, "phi[0]"),
     ],
 )
 def test_resultant_rejects_bad_map_json(tmp_path, capsys, data, needle):

@@ -1,19 +1,23 @@
-"""Property test of the CLI input contract.
+"""Property tests of the CLI input contract.
 
 Any argv and any JSON input file, fed to every subcommand, end in exit 0
 or 2 and never in an escaped exception; an error the CLI handles itself is
 one line on stderr.  argparse usage errors (SystemExit 2, a usage block)
 and --help (SystemExit 0) are the only other ways out.
+
+Numbers are never coerced: replacing one number in a valid document by a
+value of another kind turns exit 0 into exit 2.
 """
 
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from monopole_corners.cli import main
@@ -156,3 +160,95 @@ def test_cli_exits_0_or_2_on_any_input(files, data):
     if code == 2:
         message = err.getvalue()
         assert message.startswith("error: ") and message.count("\n") == 1, (argv, document, message)
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+_coord = st.integers(-50, 50) | st.floats(-100, 100)
+_points = st.lists(st.lists(_coord, min_size=3, max_size=3), min_size=1, max_size=4, unique_by=tuple)
+_coefficient = st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=9).map(str)
+# Documents that each command accepts (exit 0).
+_VALID = {
+    "cluster": st.fixed_dictionaries(
+        {"components": st.lists(st.fixed_dictionaries({
+            "center": st.lists(_coord, min_size=3, max_size=3),
+            "diameter": st.integers(0, 40) | st.floats(0, 40),
+            "charge": st.integers(1, 3) | st.sampled_from([1.0, 2.0]),
+        }), min_size=1, max_size=3)},
+        optional={"r_prime": st.integers(1, 5) | st.floats(0.1, 5)},
+    ),
+    "chain": _points.flatmap(lambda pts: st.fixed_dictionaries(
+        {"points": st.just(pts)},
+        optional={"charges": st.lists(st.integers(1, 3), min_size=len(pts), max_size=len(pts))},
+    )),
+    "resultant": st.integers(1, 4).flatmap(lambda k: st.fixed_dictionaries(
+        {
+            "phi": st.lists(st.lists(_coefficient, min_size=2, max_size=2), max_size=k),
+            "psi": st.lists(st.lists(_coefficient, min_size=2, max_size=2), min_size=k, max_size=k),
+        },
+        optional={"phi_phase": st.sampled_from([0, 1, "0", "1/4", "1/2", "-3/4"])},
+    )),
+}
+
+
+def _leaf_paths(doc, path=()):
+    """Paths to the numbers of a document (strings included: in a
+    rational map they are the numbers)."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _replacements(command, value):
+    """Values of another kind: a bool, a numeric string or a one-item list;
+    for rational maps, whose numbers are ints and strings, a float instead
+    of the string."""
+    if command == "resultant":
+        return [True, False, float(Fraction(value)), [value]]
+    return [True, False, str(value), [value]]
+
+
+@st.composite
+def _mutation(draw):
+    command = draw(st.sampled_from(sorted(_VALID)))
+    document = draw(_VALID[command])
+    path = draw(st.sampled_from(list(_leaf_paths(document))))
+    leaf = document
+    for key in path:
+        leaf = leaf[key]
+    return command, document, path, draw(st.sampled_from(_replacements(command, leaf)))
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mutation=_mutation())
+@example(mutation=("resultant", {"phi": [["1", "0"]], "psi": [["0", "0"]]}, ("phi", 0, 0), True))
+@example(mutation=("chain", {"points": [[0, 0, 0], [10, 0, 0]]}, ("points", 1, 0), "10"))
+def test_replacing_a_number_by_another_kind_turns_exit_0_into_2(files, mutation):
+    command, document, path, replacement = mutation
+    with open(files["input"], "w") as fh:
+        json.dump(document, fh)
+    code, err = _run_main([command, "--input", files["input"]])
+    assert code == 0, (command, document, err)
+
+    target = document
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = replacement
+    with open(files["input"], "w") as fh:
+        json.dump(document, fh)
+    code, err = _run_main([command, "--input", files["input"]])
+    assert code == 2, (command, document)
+    assert err.startswith("error: ") and err.count("\n") == 1, (command, document, err)

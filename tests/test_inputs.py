@@ -1,0 +1,62 @@
+"""The strict readers in monopole_corners.inputs: one rule per kind of number."""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from monopole_corners.inputs import as_int, as_list, as_object, as_rational, as_real
+
+_HUGE = 10**400  # an integer no float can hold
+
+
+@pytest.mark.parametrize("x,want", [(2, 2), (2.0, 2), (0, 0), (10**300, 10**300)])
+def test_as_int_accepts_integers_and_integral_floats(x, want):
+    got = as_int(x, "n", 0)
+    assert got == want and type(got) is int
+
+
+@pytest.mark.parametrize("x", [True, False, 1.5, "2", None, [2], math.nan, math.inf, -1, _HUGE])
+def test_as_int_refuses(x):
+    with pytest.raises(ValueError, match="^n must be an integer >= 0"):
+        as_int(x, "n", 0)
+
+
+@pytest.mark.parametrize("x,want", [(2, 2.0), (-0.5, -0.5), (Fraction(1, 4), 0.25)])
+def test_as_real_accepts_finite_numbers(x, want):
+    got = as_real(x, "r")
+    assert got == want and type(got) is float
+
+
+@pytest.mark.parametrize("x", [True, "1", "1e1", None, [1.0], {}])
+def test_as_real_refuses_non_numbers(x):
+    with pytest.raises(ValueError, match="^r must be a real number"):
+        as_real(x, "r")
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, _HUGE])
+def test_as_real_refuses_non_finite_values(x):
+    with pytest.raises(ValueError, match="^non-finite r"):
+        as_real(x, "r")
+
+
+@pytest.mark.parametrize("x,want", [(3, Fraction(3)), ("-3/4", Fraction(-3, 4)), ("1.5", Fraction(3, 2))])
+def test_as_rational_accepts_ints_and_rational_strings(x, want):
+    assert as_rational(x, "q") == want
+
+
+@pytest.mark.parametrize("x", [True, 0.5, 1.0, "1/0", "x", "", None, ["1"]])
+def test_as_rational_refuses(x):
+    with pytest.raises(ValueError, match="^q: "):
+        as_rational(x, "q")
+
+
+def test_shape_readers():
+    d = {"xs": [1]}
+    assert as_object(d, "doc") is d and as_list(d, "xs", "a list") == [1]
+    for bad in ([], "x", None):
+        with pytest.raises(ValueError, match="^doc must be a JSON object"):
+            as_object(bad, "doc")
+    for bad in ({}, {"xs": 5}, {"xs": {"a": 1}}):
+        with pytest.raises(ValueError, match="^'xs' must be a list"):
+            as_list(bad, "xs", "a list")

@@ -257,6 +257,47 @@ def test_integral_float_dimensions_are_accepted():
     assert MB.validate(ws) == []
 
 
+_GOOD = {
+    "ambient_dim": 2,
+    "elements": [{"label": "0", "dim": 0}, {"label": "V", "dim": 2}],
+    "meets": [["0", "V", "0"]],
+}
+
+
+@pytest.mark.parametrize(
+    "data,needle",
+    [
+        ([], "JSON object"),
+        ({"ambient_dim": 2, "elements": 5, "meets": []}, "'elements'"),
+        ({"ambient_dim": 2, "meets": []}, "'elements'"),
+        (dict(_GOOD, elements=[5]), "elements[0]"),
+        (dict(_GOOD, elements=[{"dim": 0}]), "elements[0]"),
+        (dict(_GOOD, elements=[{"label": ["0"], "dim": 0}]), "elements[0]"),
+        (dict(_GOOD, elements=[{"label": "0"}]), "dimension of '0'"),
+        (dict(_GOOD, elements=[{"label": "0", "dim": True}]), "dimension of '0'"),
+        (dict(_GOOD, elements=[{"label": "0", "dim": "0"}]), "dimension of '0'"),
+        ({"elements": [], "meets": []}, "ambient dimension"),
+        (dict(_GOOD, ambient_dim="2"), "ambient dimension"),
+        (dict(_GOOD, meets=5), "'meets'"),
+        ({"ambient_dim": 2, "elements": []}, "'meets'"),
+        (dict(_GOOD, meets=[["0", "V"]]), "'meets'"),
+        (dict(_GOOD, meets=[5]), "'meets'"),
+        (dict(_GOOD, meets=[["0", ["V"], "0"]]), "'meets'"),
+        (dict(_GOOD, meets=[["0", "W", "0"]]), "unknown labels"),
+    ],
+)
+def test_from_json_dict_rejects_malformed_documents(data, needle):
+    with pytest.raises(ValueError) as exc:
+        MB.ManyBodyStructure.from_json_dict(data)
+    assert needle in str(exc.value)
+
+
+def test_from_json_dict_reads_a_hand_built_document():
+    ws = MB.ManyBodyStructure.from_json_dict(_GOOD)
+    assert ws.ambient_dim == 2 and ws.dims == {"0": 0, "V": 2}
+    assert MB.validate(ws) == []
+
+
 def test_json_round_trip():
     ws = MB.diagonal_structure(4, 2)
     rt = MB.ManyBodyStructure.from_json_dict(json.loads(json.dumps(ws.to_json_dict())))

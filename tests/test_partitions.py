@@ -83,6 +83,29 @@ def test_json_round_trip():
     assert SetPartition.from_json_dict(p.to_json_dict()) == p
 
 
+@pytest.mark.parametrize(
+    "data,needle",
+    [
+        ({"k": True, "blocks": [[1]]}, "k must be"),
+        ({"k": "2", "blocks": [[1], [2]]}, "k must be"),
+        ({"k": 1.5, "blocks": [[1]]}, "k must be"),
+        ({"k": 0, "blocks": []}, "k must be"),
+        ({"blocks": [[1]]}, "k must be"),
+        ({"k": 1, "blocks": 5}, "'blocks'"),
+        ({"k": 1}, "'blocks'"),
+        ([1, [[1]]], "JSON object"),
+    ],
+)
+def test_set_partition_json_is_read_strictly(data, needle):
+    with pytest.raises(ValueError) as exc:
+        SetPartition.from_json_dict(data)
+    assert needle in str(exc.value)
+
+
+def test_set_partition_json_accepts_integral_float_k():
+    assert SetPartition.from_json_dict({"k": 2.0, "blocks": [[1, 2]]}) == P.one_block(2)
+
+
 def test_refines_examples():
     fine = P.singletons(3)
     lam = SetPartition(3, [[1, 2], [3]])
