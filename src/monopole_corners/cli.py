@@ -15,7 +15,7 @@ import re
 import sys
 
 from . import clusters, faces, gibbons_manton, ratmaps
-from .inputs import as_rational
+from .inputs import as_digits, as_rational
 from .partitions import ChainFlag, IntegerPartition, SetPartition
 
 
@@ -55,7 +55,7 @@ def _format_faces(descs, fmt: str) -> str:
 
 
 def _cmd_faces(args) -> int:
-    nu = SetPartition.from_rgs(args.nu) if args.nu else None
+    nu = SetPartition.from_rgs(args.nu, "--nu") if args.nu else None
     if args.codim is None:
         descs = faces.hypersurface_atlas(args.k, nu=nu)
     else:
@@ -88,7 +88,8 @@ def _cmd_chain(args) -> int:
 
 def _cmd_coords(args) -> int:
     cfg = clusters.Configuration.from_json_dict(_load_json(args.input))
-    parts = [SetPartition.from_rgs(s) for s in args.chain.split(",")] if args.chain else []
+    rgs = args.chain.split(",") if args.chain else []
+    parts = [SetPartition.from_rgs(s, "--chain") for s in rgs]
     flag = ChainFlag(len(cfg.points), parts)
     coords = clusters.boundary_coords(cfg, flag)
     _emit(json.dumps(coords), args.output)
@@ -120,15 +121,15 @@ def _cmd_resultant(args) -> int:
 
 
 def _cmd_gm(args) -> int:
-    lam = SetPartition.from_rgs(args.lam)
-    nu = SetPartition.from_rgs(args.nu)
+    lam = SetPartition.from_rgs(args.lam, "--lambda")
+    nu = SetPartition.from_rgs(args.nu, "--nu")
     system = gibbons_manton.weight_system(lam, nu)
     _emit(json.dumps(system.to_json_dict(), indent=2), args.output)
     return 0
 
 
 def _cmd_torus_group(args) -> int:
-    parts = IntegerPartition(int(x) for x in args.type.split(","))
+    parts = IntegerPartition(as_digits(x, "--type", 1) for x in args.type.split(","))
     structure = gibbons_manton.torus_group_structure(parts)
     _emit(
         json.dumps(

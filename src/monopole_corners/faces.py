@@ -98,18 +98,11 @@ def _descriptor_from_chain(k: int, flag: ChainFlag, nu: SetPartition) -> FaceDes
     )
 
 
-def _sort_key(desc: FaceDescriptor):
-    return (
-        tuple(-p.rank for p in desc.chain),
-        tuple(t.parts for t in desc.integer_types),
-        tuple(p.to_rgs() for p in desc.chain),
-    )
-
-
 def corner_atlas(k: int, d: int, nu: SetPartition | None = None) -> list[FaceDescriptor]:
     """One descriptor per codimension-d corner of the charge-k atlas.
 
     With ``nu`` given, enumerates the corners of the relative atlas instead.
+    Faces come in the order of `partitions.chains_mod_symmetric_group`.
     Returns the empty list when d exceeds the longest possible chain.
     """
     _check_k(k)
@@ -122,9 +115,7 @@ def corner_atlas(k: int, d: int, nu: SetPartition | None = None) -> list[FaceDes
     if d > k - nu.rank:
         return []
     flags = _chain_orbits_relative(k, d, nu.blocks, nu.rank)
-    descs = [_descriptor_from_chain(k, flag, nu) for flag in flags]
-    descs.sort(key=_sort_key)
-    return descs
+    return [_descriptor_from_chain(k, flag, nu) for flag in flags]
 
 
 def hypersurface_atlas(k: int, nu: SetPartition | None = None) -> list[FaceDescriptor]:
@@ -145,13 +136,11 @@ def intersection_components(k: int, a: IntegerPartition, b: IntegerPartition) ->
             raise ValueError(f"{t} is not a proper type of {k}")
     if a == b:
         return 0
-    if refines_integer_partition(b, a):
+    if len(a) < len(b):
         a, b = b, a
-    elif not refines_integer_partition(a, b):
-        return 0
-    # Assign to each part of b a partition of it; the multiset union of the
-    # assignments must be a.  Parts of b with equal value get an unordered
-    # multiset of partitions.
+    # The finer type a has more parts.  Assign to each part of b a partition
+    # of it whose multiset union is a; none exists for incomparable types.
+    # Parts of b with equal value get an unordered multiset of partitions.
     by_value: dict[int, int] = {}
     for v in b:
         by_value[v] = by_value.get(v, 0) + 1

@@ -16,19 +16,11 @@ order gcd(k_i).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .errors import RangeLimitError
-from .partitions import (
-    CHAIN_LIMIT,
-    IntegerPartition,
-    SetPartition,
-    apply_permutation,
-    refines,
-)
+from .partitions import IntegerPartition, SetPartition, apply_permutation, refines
 
 
 class ChernWeightSystem:
@@ -199,17 +191,3 @@ def torus_group_structure(a: IntegerPartition) -> TorusGroupStructure:
     """
     return TorusGroupStructure(torus_rank=len(a.parts) - 1, finite_order=gcd(*a.parts))
 
-
-def all_flags(k: int) -> list[tuple[SetPartition, SetPartition]]:
-    """All strict flags lam < nu over {1..k} (enumeration helper for the
-    exhaustive splitting checks)."""
-    from .partitions import all_partitions
-
-    if k > CHAIN_LIMIT:
-        raise RangeLimitError(f"flag enumeration capped at k <= {CHAIN_LIMIT}")
-    parts = all_partitions(k)
-    return [
-        (lam, nu)
-        for lam, nu in itertools.permutations(parts, 2)
-        if refines(lam, nu)
-    ]

@@ -1,14 +1,18 @@
 """Strict readers for JSON and argv values: the one place that decides what
 counts as a number, one reader per kind and no coercion.  A bool is never a
-number, a string is one only for `as_rational` (so no binary float enters
-exact arithmetic), and every reader raises ValueError naming its field."""
+number, a string is one only for `as_rational` and `as_digits` (ASCII grammars,
+no binary float), and every reader raises ValueError naming its field."""
 
 import math
+import re
 import sys
 from fractions import Fraction
 from numbers import Integral, Real
 
 _FLOAT_MAX = int(sys.float_info.max)
+
+#: Optional sign and digits, then optionally /digits or .digits.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
 
 def as_int(x, what: str, minimum: int) -> int:
@@ -35,13 +39,23 @@ def as_real(x, what: str) -> float:
 
 
 def as_rational(x, what: str) -> Fraction:
-    """An int or a rational string such as "-3/4", as a Fraction."""
+    """An int or an ASCII rational string such as "-3/4" or "1.5", as a Fraction."""
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
-            return Fraction(x)
+            if isinstance(x, int) or _RATIONAL.fullmatch(x):
+                return Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"{what}: {x!r} is not an int or a rational string such as '-3/4'")
+
+
+def as_digits(text: str, what: str, minimum: int) -> int:
+    """`as_int` for argv text: ASCII digits such as "012", at most 309 of
+    them (the largest float has 309)."""
+    n = int(text) if text.isascii() and text.isdigit() and len(text) < 310 else -1
+    if not minimum <= n <= _FLOAT_MAX:
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {text!r}")
+    return n
 
 
 def as_object(d, what: str) -> dict:

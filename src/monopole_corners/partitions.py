@@ -20,7 +20,7 @@ from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ChainError, RangeLimitError
-from .inputs import as_int, as_list, as_object
+from .inputs import as_digits, as_int, as_list, as_object
 
 #: Full enumeration of set partitions is capped here (Bell(12) ~ 4.2e6).
 ENUMERATION_LIMIT = 12
@@ -92,15 +92,16 @@ class SetPartition:
         return "|".join(str(n) for n in idx)
 
     @classmethod
-    def from_rgs(cls, s: str) -> "SetPartition":
+    def from_rgs(cls, s: str, what: str = "restricted-growth string") -> "SetPartition":
+        """Inverse of :meth:`to_rgs`; `what` names the field in errors."""
         tokens = s.split("|") if "|" in s else list(s)
         if not tokens:
-            raise ValueError("empty restricted-growth string")
-        idx = [int(t) for t in tokens]
+            raise ValueError(f"{what} is empty")
+        idx = [as_digits(t, what, 0) for t in tokens]
         top = -1
         for n in idx:
-            if n < 0 or n > top + 1:
-                raise ValueError(f"not a restricted-growth string: {s!r}")
+            if n > top + 1:
+                raise ValueError(f"{what}: not a restricted-growth string: {s!r}")
             top = max(top, n)
         blocks: dict[int, list[int]] = {}
         for i, n in enumerate(idx, start=1):
@@ -113,7 +114,12 @@ class SetPartition:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SetPartition":
         d = as_object(d, "set partition")
-        return cls(as_int(d.get("k"), "k", 1), as_list(d, "blocks", "a list of blocks"))
+        blocks = []
+        for i, b in enumerate(as_list(d, "blocks", "a list of blocks")):
+            if not isinstance(b, list):
+                raise ValueError(f"blocks[{i}] must be a list of elements, got {b!r}")
+            blocks.append([as_int(x, f"blocks[{i}]", 1) for x in b])
+        return cls(as_int(d.get("k"), "k", 1), blocks)
 
     def __eq__(self, other) -> bool:
         return (
@@ -138,12 +144,13 @@ class IntegerPartition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int]):
-        p = tuple(sorted(int(x) for x in parts))
+        p = tuple(parts)
         if not p:
             raise ValueError("integer partition needs at least one part")
-        if p[0] < 1:
-            raise ValueError("parts must be positive")
-        object.__setattr__(self, "parts", p)
+        for x in p:
+            if type(x) is not int or x < 1:
+                raise ValueError(f"parts must be integers >= 1, got {x!r}")
+        object.__setattr__(self, "parts", tuple(sorted(p)))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntegerPartition is immutable")
@@ -439,10 +446,6 @@ def _tower_size(t) -> int:
     return t if isinstance(t, int) else sum(_tower_size(c) for c in t)
 
 
-def _tower_key(t):
-    return (_tower_size(t), t)
-
-
 def _tower_refinements(tower, memo: dict) -> list[tuple]:
     """(refined tower, leaf count) for every way of replacing each leaf n of
     `tower` by an integer partition of n, with children re-sorted
@@ -470,28 +473,31 @@ def _chain_orbits_relative(
         n: [(tuple(reversed(p.parts)), len(p)) for p in integer_partitions(n)]
         for n in range(1, max(len(b) for b in blocks) + 1)
     }
-    # Each forest maps to its ranks (r(nu), r(lam_d), ..., r(lam_level)).
-    forests = {tuple(len(b) for b in blocks): (coarse_rank,)}
+    # Each forest maps to the rank of its finest level so far.
+    forests = {tuple(len(b) for b in blocks): coarse_rank}
     for level in range(1, d + 1):
         cap = k - (d - level)
-        refined: dict[tuple, tuple[int, ...]] = {}
-        for forest, ranks in forests.items():
+        refined: dict[tuple, int] = {}
+        for forest, rank in forests.items():
             for combo in itertools.product(*(_tower_refinements(t, memo) for t in forest)):
                 n = sum(c for _, c in combo)
-                if ranks[-1] < n <= cap:
-                    refined[tuple(t for t, _ in combo)] = ranks + (n,)
+                if rank < n <= cap:
+                    refined[tuple(t for t, _ in combo)] = n
         forests = refined
-    # Coarsest ranks ascending, then children in decreasing canonical order.
-    order = sorted(forests, key=lambda f: [[_tower_key(c) for c in t] for t in f], reverse=True)
-    order.sort(key=forests.__getitem__)
     out: list[ChainFlag] = []
-    for forest in order:
+    for forest in forests:
         level_blocks: list[list[tuple[int, ...]]] = [[] for _ in range(d)]
         for tower, members in zip(forest, blocks):
             per_level = _realize_tower(tower, members, d)
             for j in range(d):
                 level_blocks[j].extend(per_level[j])
         out.append(ChainFlag(k, [SetPartition(k, level_blocks[j]) for j in range(d)]))
+    # Atlas order: finest ranks descending, then block-size types, then RGS.
+    out.sort(key=lambda f: (
+        [-p.rank for p in f.chain],
+        [sorted(map(len, p.blocks)) for p in f.chain],
+        [p.to_rgs() for p in f.chain],
+    ))
     return out
 
 
@@ -521,53 +527,11 @@ def _realize_tower(tower, elements: Sequence[int], depth: int) -> list[list[tupl
     return per_level
 
 
-def chain_orbit_invariant(flag: ChainFlag):
-    """The tower of a chain: a complete relabelling-orbit invariant."""
-
-    def build(elements: tuple[int, ...], chain: Sequence[SetPartition]):
-        if not chain:
-            return len(elements)
-        top = chain[-1]
-        elems = set(elements)
-        subs = []
-        for block in top.blocks:
-            sub_elems = tuple(i for i in block if i in elems)
-            if not sub_elems:
-                continue
-            restricted = [
-                SetPartition(len(sub_elems), _restrict_blocks(p, sub_elems))
-                for p in chain[:-1]
-            ]
-            subs.append(build(tuple(range(1, len(sub_elems) + 1)), restricted))
-        return tuple(sorted(subs, key=_tower_key, reverse=True))
-
-    return build(tuple(range(1, flag.k + 1)), list(flag.chain))
-
-
-def _restrict_blocks(p: SetPartition, elements: Sequence[int]) -> list[list[int]]:
-    """Blocks of p restricted to `elements`, renumbered 1..len(elements)."""
-    index = {e: i for i, e in enumerate(sorted(elements), start=1)}
-    out = []
-    for b in p.blocks:
-        sub = [index[i] for i in b if i in index]
-        if sub:
-            out.append(sub)
-    return out
-
-
-def chain_orbit_canonical(flag: ChainFlag) -> ChainFlag:
-    """Canonical chain representing the relabelling orbit of `flag`."""
-    d = len(flag)
-    if d == 0:
-        return flag
-    tower = chain_orbit_invariant(flag)
-    per_level = _realize_tower(tower, tuple(range(1, flag.k + 1)), d)
-    return ChainFlag(flag.k, [SetPartition(flag.k, per_level[j]) for j in range(d)])
-
-
 def chains_mod_symmetric_group(k: int, d: int) -> list[ChainFlag]:
     """One representative per relabelling orbit of strict chains
-    lam_1 < ... < lam_d of proper partitions of {1..k}."""
+    lam_1 < ... < lam_d of proper partitions of {1..k}, in the order of
+    `faces.corner_atlas(k, d)`: finest ranks descending, then block-size
+    types, then restricted-growth strings."""
     if not 1 <= k <= CHAIN_LIMIT:
         raise RangeLimitError(f"k must be in 1..{CHAIN_LIMIT}, got {k}")
     if not 1 <= d <= k - 1:

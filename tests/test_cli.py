@@ -172,6 +172,11 @@ def test_resultant_negative_leading_coefficient(capsys, spaced, joined, fmt):
     assert run_cli(capsys, "resultant", *joined, "--format", fmt) == (code, out, err)
 
 
+@pytest.mark.parametrize("phi", ["1e100000", "1_0", "\u0661", "1."])
+def test_resultant_refuses_non_ascii_grammar_coefficients(capsys, phi):
+    assert_one_line_error(*run_cli(capsys, "resultant", "--phi", phi, "--psi", "0"), "--phi")
+
+
 def test_resultant_trailing_flag_without_value(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["resultant", "--psi", "1", "--phi"])
@@ -313,6 +318,23 @@ def test_torus_group(capsys):
     code, out, _ = run_cli(capsys, "torus-group", "--type", "2,3")
     assert code == 0
     assert json.loads(out) == {"torus_rank": 1, "finite_order": 1}
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["torus-group", "--type", "1_0,2"], "--type"),
+        (["torus-group", "--type", "\u0661,2"], "--type"),
+        (["torus-group", "--type", "0,2"], "--type"),
+        (["torus-group", "--type", "2,"], "--type"),
+        (["gm", "--lambda", "0\u0661", "--nu", "00"], "--lambda"),
+        (["gm", "--lambda", "01", "--nu", "0_"], "--nu"),
+        (["gm", "--lambda", "021", "--nu", "000"], "--lambda"),
+        (["faces", "--k", "3", "--nu", "0|1|"], "--nu"),
+    ],
+)
+def test_argv_integers_are_ascii_digits(capsys, argv, field):
+    assert_one_line_error(*run_cli(capsys, *argv), field)
 
 
 def test_validate_ibf(capsys):

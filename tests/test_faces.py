@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -73,22 +73,45 @@ def test_hypersurface_count_is_partition_count_minus_one():
         assert len(F.hypersurface_atlas(k)) == partition_count(k) - 1
 
 
+def brute_canonical(k, chain):
+    """Least tuple of RGS strings over all k! relabellings of a chain."""
+    return min(
+        tuple(P.apply_permutation(sigma, p).to_rgs() for p in chain)
+        for sigma in permutations(range(1, k + 1))
+    )
+
+
 def test_corner_counts_are_relabelling_invariant():
-    # the atlas is enumerated over canonical representatives; check a few
-    # random relabellings reproduce the same orbit multiset via invariants
+    # the atlas is enumerated over orbit representatives: keyed by the
+    # brute-force canonical form, faces lie in distinct orbits, and random
+    # relabellings of a face land in an orbit of the atlas
     rng = random.Random(2)
     for k in (4, 5):
         for d in (1, 2):
             atlas = F.corner_atlas(k, d)
-            invariants = {P.chain_orbit_invariant(c.chain) for c in atlas}
-            assert len(invariants) == len(atlas)
+            keys = {brute_canonical(k, c.chain) for c in atlas}
+            assert len(keys) == len(atlas)
             for desc in atlas:
                 sigma = list(range(1, k + 1))
                 rng.shuffle(sigma)
-                moved = P.ChainFlag(
-                    k, [P.apply_permutation(sigma, p) for p in desc.chain]
-                )
-                assert P.chain_orbit_invariant(moved) in invariants
+                moved = [P.apply_permutation(sigma, p) for p in desc.chain]
+                assert brute_canonical(k, moved) in keys
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_chain_orbits_come_in_atlas_order(k):
+    for d in range(1, k):
+        flags = P.chains_mod_symmetric_group(k, d)
+        assert flags == [f.chain for f in F.corner_atlas(k, d)]
+        keys = [
+            (
+                [-p.rank for p in f],
+                [P.type_of(p).parts for p in f],
+                [p.to_rgs() for p in f],
+            )
+            for f in flags
+        ]
+        assert keys == sorted(keys)
 
 
 def test_intersection_components_examples():

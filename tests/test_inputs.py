@@ -1,11 +1,12 @@
 """The strict readers in monopole_corners.inputs: one rule per kind of number."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
-from monopole_corners.inputs import as_int, as_list, as_object, as_rational, as_real
+from monopole_corners.inputs import as_digits, as_int, as_list, as_object, as_rational, as_real
 
 _HUGE = 10**400  # an integer no float can hold
 
@@ -40,15 +41,50 @@ def test_as_real_refuses_non_finite_values(x):
         as_real(x, "r")
 
 
-@pytest.mark.parametrize("x,want", [(3, Fraction(3)), ("-3/4", Fraction(-3, 4)), ("1.5", Fraction(3, 2))])
+@pytest.mark.parametrize(
+    "x,want",
+    [(3, Fraction(3)), ("-3/4", Fraction(-3, 4)), ("1.5", Fraction(3, 2)), ("+07", Fraction(7))],
+)
 def test_as_rational_accepts_ints_and_rational_strings(x, want):
     assert as_rational(x, "q") == want
 
 
-@pytest.mark.parametrize("x", [True, 0.5, 1.0, "1/0", "x", "", None, ["1"]])
+@pytest.mark.parametrize(
+    "x",
+    [
+        True, 0.5, 1.0, "1/0", "x", "", None, ["1"],
+        # Fraction's own grammar accepts these; the ASCII grammar does not
+        "1e10000000", "1e2", "1_0", "\u0661", " 1", "1 ", "1\n", "1.", ".5", "1/-2", "1.5/2",
+        "inf", "nan", "1" * 5000,
+    ],
+)
 def test_as_rational_refuses(x):
     with pytest.raises(ValueError, match="^q: "):
         as_rational(x, "q")
+
+
+def test_as_rational_refuses_exponents_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^q: "):
+        as_rational("1e10000000", "q")
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("text,want", [("0", 0), ("007", 7), ("1" + "0" * 300, 10**300)])
+def test_as_digits_accepts_ascii_digits(text, want):
+    got = as_digits(text, "n", 0)
+    assert got == want and type(got) is int
+
+
+@pytest.mark.parametrize("text", ["", "1_0", "\u0661", "+1", "-1", " 1", "1.0", "0x1", "9" * 400])
+def test_as_digits_refuses(text):
+    with pytest.raises(ValueError, match="^n must be an integer >= 0"):
+        as_digits(text, "n", 0)
+
+
+def test_as_digits_minimum():
+    with pytest.raises(ValueError, match="^n must be an integer >= 1, got '0'"):
+        as_digits("0", "n", 1)
 
 
 def test_shape_readers():
