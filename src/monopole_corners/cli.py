@@ -15,7 +15,7 @@ import re
 import sys
 
 from . import clusters, faces, gibbons_manton, ratmaps
-from .inputs import as_digits, as_rational
+from .inputs import as_digits, as_rational, as_real_text
 from .partitions import ChainFlag, IntegerPartition, SetPartition
 
 
@@ -31,7 +31,10 @@ def _emit(text: str, path: str | None) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+            raise ValueError(f"--input {path}: {exc}") from None
 
 
 def _format_faces(descs, fmt: str) -> str:
@@ -55,11 +58,12 @@ def _format_faces(descs, fmt: str) -> str:
 
 
 def _cmd_faces(args) -> int:
+    k = as_digits(args.k, "--k", 0)
     nu = SetPartition.from_rgs(args.nu, "--nu") if args.nu else None
     if args.codim is None:
-        descs = faces.hypersurface_atlas(args.k, nu=nu)
+        descs = faces.hypersurface_atlas(k, nu=nu)
     else:
-        descs = faces.corner_atlas(args.k, args.codim, nu=nu)
+        descs = faces.corner_atlas(k, as_digits(args.codim, "--codim", 0), nu=nu)
     _emit(_format_faces(descs, args.format), args.output)
     return 0
 
@@ -67,7 +71,7 @@ def _cmd_faces(args) -> int:
 def _cmd_cluster(args) -> int:
     inp = clusters.StrongFieldInput.from_json_dict(_load_json(args.input))
     if args.r_prime is not None:
-        inp = clusters.StrongFieldInput(inp.components, r_prime=args.r_prime)
+        inp = clusters.StrongFieldInput(inp.components, as_real_text(args.r_prime, "--r-prime"))
     dec = clusters.taubes_cluster(inp)
     _emit(json.dumps(dec.to_json_dict(), indent=2), args.output)
     if args.rounds_csv:
@@ -78,7 +82,11 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_chain(args) -> int:
     cfg = clusters.Configuration.from_json_dict(_load_json(args.input))
-    flag = clusters.scale_chain(cfg, args.base_scale, args.ratio_threshold)
+    flag = clusters.scale_chain(
+        cfg,
+        as_real_text(args.base_scale, "--base-scale"),
+        as_real_text(args.ratio_threshold, "--ratio-threshold"),
+    )
     if args.format == "json":
         _emit(json.dumps([p.to_rgs() for p in flag], indent=2), args.output)
     else:
@@ -141,7 +149,7 @@ def _cmd_torus_group(args) -> int:
 
 
 def _cmd_validate_ibf(args) -> int:
-    report = faces.validate_ibf(args.k)
+    report = faces.validate_ibf(as_digits(args.k, "--k", 0))
     out = {
         "k": report.k,
         "edges": [[list(a.parts), list(b.parts)] for a, b in report.edges],
@@ -158,7 +166,7 @@ def _cmd_validate_ibf(args) -> int:
 def _cmd_cover_schedule(args) -> int:
     rows = [
         {"type": list(t.parts), "depth": depth}
-        for t, depth in faces.cover_schedule(args.k)
+        for t, depth in faces.cover_schedule(as_digits(args.k, "--k", 0))
     ]
     _emit(json.dumps(rows, indent=2), args.output)
     return 0
@@ -176,8 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write to this file instead of stdout")
 
     p = sub.add_parser("faces", help="hypersurface or corner atlas")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--codim", type=int, help="corner codimension (omit for hypersurfaces)")
+    p.add_argument("--k", required=True)
+    p.add_argument("--codim", help="corner codimension (omit for hypersurfaces)")
     p.add_argument("--nu", help="relative atlas: coarse partition as an RGS string")
     p.add_argument("--format", choices=("table", "json"), default="table")
     add_output(p)
@@ -185,17 +193,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="threshold-merge cluster decomposition")
     p.add_argument("--input", required=True, help="strong-field input JSON")
-    p.add_argument("--r-prime", dest="r_prime", type=float, help="override the ball seed R'")
+    p.add_argument("--r-prime", dest="r_prime", help="override the ball seed R'")
     p.add_argument("--rounds-csv", dest="rounds_csv", help="write per-round CSV here")
     add_output(p)
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("chain", help="multi-scale chain of a configuration")
     p.add_argument("--input", required=True, help="configuration JSON with a 'points' list")
-    p.add_argument("--base-scale", dest="base_scale", type=float,
-                   default=clusters.DEFAULT_BASE_SCALE)
-    p.add_argument("--ratio-threshold", dest="ratio_threshold", type=float,
-                   default=clusters.DEFAULT_RATIO_THRESHOLD)
+    p.add_argument("--base-scale", dest="base_scale",
+                   default=str(clusters.DEFAULT_BASE_SCALE))
+    p.add_argument("--ratio-threshold", dest="ratio_threshold",
+                   default=str(clusters.DEFAULT_RATIO_THRESHOLD))
     p.add_argument("--format", choices=("table", "json"), default="table")
     add_output(p)
     p.set_defaults(func=_cmd_chain)
@@ -226,12 +234,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_torus_group)
 
     p = sub.add_parser("validate-ibf", help="boundary-fibration consistency report")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", required=True)
     add_output(p)
     p.set_defaults(func=_cmd_validate_ibf)
 
     p = sub.add_parser("cover-schedule", help="collar-construction order of hypersurfaces")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", required=True)
     add_output(p)
     p.set_defaults(func=_cmd_cover_schedule)
 

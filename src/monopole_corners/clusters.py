@@ -10,7 +10,8 @@ threshold gamma are merged into centroids, and the ball data grows by
 
 until all surviving centres are pairwise further apart than gamma.  The
 whole recursion is rational in the inputs, so it is run in exact rational
-arithmetic (floats enter exactly); distance comparisons use squared norms.
+arithmetic (floats enter exactly); each round's distance comparisons are
+integer comparisons of squared norms on one common denominator.
 Only the separation functional needs square roots and is reported in
 floating point.
 
@@ -225,23 +226,42 @@ class ClusterDecomposition:
         return "\n".join(lines) + "\n"
 
 
-def _dist2(p: FracPoint, q: FracPoint) -> Fraction:
-    return sum((a - b) * (a - b) for a, b in zip(p, q))
+#: The 13 grid cells after a cell in lexicographic order; with their mirror
+#: images and the cell itself they are the 27 cells a neighbour can lie in.
+_FORWARD_CELLS = tuple(o for o in itertools.product((-1, 0, 1), repeat=3) if o > (0, 0, 0))
 
 
 def _threshold_groups(centers: Sequence[FracPoint], gamma: Fraction) -> list[tuple[int, ...]]:
     """Connected components of the graph joining centres at distance <= gamma.
 
     This is the finest partition in which every gamma-neighbourhood lies in
-    a single block.  Ties count as edges.
+    a single block.  Ties count as edges.  The centres and gamma are put on
+    one common denominator, so each test is an integer comparison, and
+    bucketed into cubes of side gamma: centres within gamma of each other
+    lie in the same or adjacent cubes, so only those pairs are tested.
     """
+    scale = math.lcm(gamma.denominator, *(x.denominator for p in centers for x in p))
+    g = gamma.numerator * (scale // gamma.denominator)
+    g2 = g * g
+    pts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in centers]
+    cells: dict[tuple[int, int, int], list[int]] = {}
+    for i, (x, y, z) in enumerate(pts):
+        cells.setdefault((x // g, y // g, z // g), []).append(i)
     n = len(centers)
     parent = list(range(n))
-    g2 = gamma * gamma
-    for i, j in itertools.combinations(range(n), 2):
-        if _dist2(centers[i], centers[j]) <= g2:
-            parent[find_root(parent, i)] = find_root(parent, j)
-    return [tuple(g) for g in group_by_root(parent, range(n))]
+    for (cx, cy, cz), here in cells.items():
+        pairs = itertools.chain(
+            itertools.combinations(here, 2),
+            *(
+                itertools.product(here, cells.get((cx + dx, cy + dy, cz + dz), ()))
+                for dx, dy, dz in _FORWARD_CELLS
+            ),
+        )
+        for i, j in pairs:
+            (xi, yi, zi), (xj, yj, zj) = pts[i], pts[j]
+            if (xi - xj) ** 2 + (yi - yj) ** 2 + (zi - zj) ** 2 <= g2:
+                parent[find_root(parent, i)] = find_root(parent, j)
+    return [tuple(group) for group in group_by_root(parent, range(n))]
 
 
 def _centroid(points: Sequence[FracPoint]) -> FracPoint:
@@ -333,8 +353,9 @@ def types_comparable(a: IntegerPartition, b: IntegerPartition) -> bool:
     return refines_integer_partition(a, b) or refines_integer_partition(b, a)
 
 
-def _single_linkage_merges(points: Sequence[Point]) -> list[tuple[float, SetPartition]]:
-    """Merge events (distance, partition after the merge), coarsest last."""
+def _single_linkage_merges(points: Sequence[Point]) -> list[tuple[float, int, int]]:
+    """Merge events (distance, i, j) of the single-linkage tree, in order:
+    each joins the clusters of points i and j, and the last joins all."""
     n = len(points)
     parent = list(range(n + 1))
     pairs = sorted(
@@ -347,7 +368,7 @@ def _single_linkage_merges(points: Sequence[Point]) -> list[tuple[float, SetPart
         if ri == rj:
             continue
         parent[ri] = rj
-        events.append((dist, SetPartition(n, group_by_root(parent, range(1, n + 1)))))
+        events.append((dist, i, j))
         if len(events) == n - 1:
             break
     return events
@@ -374,14 +395,21 @@ def scale_chain(
     if k == 1:
         return ChainFlag(1, [])
     events = _single_linkage_merges(c.points)
-    levels = [singletons(k)] + [p for _, p in events]
-    dists = [1.0] + [d for d, _ in events]
+    dists = [1.0] + [d for d, _, _ in events]
+    # Level m is the partition after the first m merges; it has k - m >= 2
+    # blocks for every m < k - 1, so no kept level is the one-block partition.
+    kept = [
+        m for m in range(k - 1)
+        if dists[m + 1] > base_scale and dists[m + 1] > ratio_threshold * max(dists[m], 1.0)
+    ]
+    parent = list(range(k + 1))
     chain = []
-    for i in range(len(events)):
-        nxt = dists[i + 1]
-        if nxt > base_scale and nxt > ratio_threshold * max(dists[i], 1.0):
-            if not levels[i].is_one_block():
-                chain.append(levels[i])
+    merged = 0
+    for m in kept:
+        for _, i, j in events[merged:m]:
+            parent[find_root(parent, i)] = find_root(parent, j)
+        merged = m
+        chain.append(SetPartition(k, group_by_root(parent, range(1, k + 1))))
     return ChainFlag(k, chain)
 
 

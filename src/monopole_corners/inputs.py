@@ -1,7 +1,8 @@
 """Strict readers for JSON and argv values: the one place that decides what
 counts as a number, one reader per kind and no coercion.  A bool is never a
-number, a string is one only for `as_rational` and `as_digits` (ASCII grammars,
-no binary float), and every reader raises ValueError naming its field."""
+number, a string is one only for `as_rational`, `as_digits` and `as_real_text`
+(ASCII grammars, no binary float), and every reader raises ValueError naming
+its field."""
 
 import math
 import re
@@ -56,6 +57,15 @@ def as_digits(text: str, what: str, minimum: int) -> int:
     if not minimum <= n <= _FLOAT_MAX:
         raise ValueError(f"{what} must be an integer >= {minimum}, got {text!r}")
     return n
+
+
+def as_real_text(text: str, what: str) -> float:
+    """`as_real` for argv text: the `as_rational` grammar, rounded to the
+    nearest float."""
+    try:
+        return float(as_rational(text, what))
+    except OverflowError:
+        raise ValueError(f"{what}: {text!r} exceeds the floating-point range") from None
 
 
 def as_object(d, what: str) -> dict:

@@ -4,9 +4,10 @@ torus and deck actions.
 A degree-k map is a pair of polynomials (phi, psi) with psi monic of degree
 k and deg phi <= k-1, held with exact Gaussian-rational coefficients.  The
 resultant is the Sylvester determinant of (psi, phi), normalized so that
-for monic psi it equals the product of phi over the roots of psi; it is
-computed by fraction-free (Bareiss) elimination, so every predicate
-(|R| = 1, R = 1) is decided exactly.
+for monic psi it equals the product of phi over the roots of psi.  Each
+polynomial is cleared of denominators once, and the determinant is taken
+by fraction-free (Bareiss) elimination on Gaussian integers, so every
+predicate (|R| = 1, R = 1) is decided exactly.
 
 Unit scalars that are not Gaussian (general roots of unity, as needed for
 the deck action at k not dividing 4) are carried as an exact phase tag on
@@ -250,47 +251,78 @@ def _json_coefficients(d: dict, name: str) -> list[GaussianRational]:
     return out
 
 
-def _det_bareiss(m: list[list[GaussianRational]]) -> GaussianRational:
-    """Exact determinant by fraction-free one-step elimination."""
-    n = len(m)
-    if n == 0:
-        return ONE
-    sign = 1
-    prev = ONE
-    for t in range(n - 1):
-        if m[t][t].is_zero():
-            pivot = next((r for r in range(t + 1, n) if not m[r][t].is_zero()), None)
-            if pivot is None:
-                return ZERO
-            m[t], m[pivot] = m[pivot], m[t]
-            sign = -sign
-        for r in range(t + 1, n):
-            for c in range(t + 1, n):
-                m[r][c] = (m[r][c] * m[t][t] - m[r][t] * m[t][c]) / prev
-            m[r][t] = ZERO
-        prev = m[t][t]
-    det = m[-1][-1]
-    return det if sign > 0 else -det
+def _scaled(coeffs: Sequence[GaussianRational]) -> tuple[list[int], list[int], int]:
+    """The coefficients times L, the lcm of their denominators: real parts,
+    imaginary parts (as ints), and L."""
+    scale = math.lcm(*(x.denominator for c in coeffs for x in (c.re, c.im)))
+    return (
+        [c.re.numerator * (scale // c.re.denominator) for c in coeffs],
+        [c.im.numerator * (scale // c.im.denominator) for c in coeffs],
+        scale,
+    )
 
 
-def _sylvester(psi: Sequence[GaussianRational], phi: Sequence[GaussianRational]) -> list[list[GaussianRational]]:
-    """Sylvester matrix of monic psi (degree k) and phi at formal degree k-1."""
+def _sylvester(
+    psi: Sequence[GaussianRational], phi: Sequence[GaussianRational]
+) -> tuple[list[list[int]], list[list[int]], int]:
+    """Sylvester matrix of monic psi (degree k) and phi at formal degree k-1,
+    cleared of denominators: real parts, imaginary parts, and the factor
+    L_psi^(k-1) * L_phi^k by which its determinant exceeds the resultant."""
     k = len(psi)
     size = 2 * k - 1
-    psi_desc = [ONE] + list(reversed(psi))        # z^k + b_{k-1} z^{k-1} + ...
-    phi_desc = list(reversed(phi))                # a_{k-1} z^{k-1} + ...
-    rows = []
+    psi_re, psi_im, l_psi = _scaled([ONE] + list(reversed(psi)))   # z^k + b_{k-1} z^{k-1} + ...
+    phi_re, phi_im, l_phi = _scaled(list(reversed(phi)))           # a_{k-1} z^{k-1} + ...
+    re, im = [], []
     for shift in range(k - 1):
-        rows.append([ZERO] * shift + psi_desc + [ZERO] * (size - shift - k - 1))
+        pad = [0] * (size - shift - k - 1)
+        re.append([0] * shift + psi_re + pad)
+        im.append([0] * shift + psi_im + pad)
     for shift in range(k):
-        rows.append([ZERO] * shift + phi_desc + [ZERO] * (size - shift - k))
-    return rows
+        pad = [0] * (size - shift - k)
+        re.append([0] * shift + phi_re + pad)
+        im.append([0] * shift + phi_im + pad)
+    return re, im, l_psi ** (k - 1) * l_phi ** k
+
+
+def _det_bareiss(re: list[list[int]], im: list[list[int]]) -> tuple[int, int]:
+    """Determinant of the Gaussian-integer matrix re + i*im, by one-step
+    fraction-free elimination; both matrices are overwritten."""
+    n = len(re)
+    sign = 1
+    pr, pi = 1, 0   # the previous pivot, which divides every update exactly
+    for t in range(n - 1):
+        if not (re[t][t] or im[t][t]):
+            swap = next((r for r in range(t + 1, n) if re[r][t] or im[r][t]), None)
+            if swap is None:
+                return 0, 0
+            re[t], re[swap] = re[swap], re[t]
+            im[t], im[swap] = im[swap], im[t]
+            sign = -sign
+        tr, ti = re[t], im[t]
+        ar, ai = tr[t], ti[t]
+        # Each entry x becomes (x*a - b*y) / prev, where a is the pivot, b the
+        # entry below it and y the pivot row's entry; dividing exactly by prev
+        # is multiplying by conj(prev), folded into a and b, then by 1/|prev|^2.
+        norm = pr * pr + pi * pi
+        acr, aci = ar * pr + ai * pi, ai * pr - ar * pi
+        for r in range(t + 1, n):
+            rr, ri = re[r], im[r]
+            br, bi = rr[t], ri[t]
+            bcr, bci = br * pr + bi * pi, bi * pr - br * pi
+            for c in range(t + 1, n):
+                xr, xi, yr, yi = rr[c], ri[c], tr[c], ti[c]
+                rr[c] = (xr * acr - xi * aci - bcr * yr + bci * yi) // norm
+                ri[c] = (xr * aci + xi * acr - bcr * yi - bci * yr) // norm
+        pr, pi = ar, ai
+    return sign * re[-1][-1], sign * im[-1][-1]
 
 
 def _gauss_resultant(m: RationalMapPair) -> GaussianRational:
     """The resultant without the phase tag, computed once per map."""
     if m._gauss is None:
-        object.__setattr__(m, "_gauss", _det_bareiss(_sylvester(m.psi, m.phi)))
+        re, im, scale = _sylvester(m.psi, m.phi)
+        det_re, det_im = _det_bareiss(re, im)
+        object.__setattr__(m, "_gauss", GaussianRational(Fraction(det_re, scale), Fraction(det_im, scale)))
     return m._gauss
 
 

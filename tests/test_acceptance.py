@@ -22,6 +22,11 @@ from monopole_corners.ratmaps import GaussianRational as G
 from monopole_corners.ratmaps import RationalMapPair as M
 
 
+def dist2(p, q):
+    """Squared Euclidean distance, exact on Fraction coordinates."""
+    return sum((a - b) * (a - b) for a, b in zip(p, q))
+
+
 @contextmanager
 def criterion(cid, budget_seconds, description):
     start = perf_counter()
@@ -171,7 +176,7 @@ def test_criterion_08_cluster_algorithm_properties():
             # final separations beyond gamma (exact squared distances)
             g2 = fin.gamma * fin.gamma
             for p, q in itertools.combinations(fin.centers, 2):
-                assert C._dist2(p, q) > g2
+                assert dist2(p, q) > g2
 
             # disjointness margin: gamma - 2R = R - d/2 >= d/2 + 1 > 0,
             # with equality whenever a merge round ran (then R = d + 1)
@@ -187,7 +192,7 @@ def test_criterion_08_cluster_algorithm_properties():
                 for gi, group in enumerate(r0.merged_groups):
                     centre = r1.centers[gi]
                     for member in group:
-                        assert C._dist2(r0.centers[member], centre) <= gap * gap
+                        assert dist2(r0.centers[member], centre) <= gap * gap
 
             # epsilon bound, floating at relative tolerance 1e-9
             m = len(fin.centers)

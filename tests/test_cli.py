@@ -274,9 +274,9 @@ def test_resultant_json_computes_the_determinant_once(capsys, monkeypatch):
     calls = []
     det = ratmaps._det_bareiss
 
-    def counting(m):
-        calls.append(len(m))
-        return det(m)
+    def counting(re, im):
+        calls.append(len(re))
+        return det(re, im)
 
     monkeypatch.setattr(ratmaps, "_det_bareiss", counting)
     code, out, _ = run_cli(
@@ -331,10 +331,57 @@ def test_torus_group(capsys):
         (["gm", "--lambda", "01", "--nu", "0_"], "--nu"),
         (["gm", "--lambda", "021", "--nu", "000"], "--lambda"),
         (["faces", "--k", "3", "--nu", "0|1|"], "--nu"),
+        (["faces", "--k", "\u0663"], "--k"),
+        (["faces", "--k", "3", "--codim", "0_1"], "--codim"),
+        (["faces", "--k", "three"], "--k"),
+        (["faces", "--k", "-3"], "--k"),
+        (["faces", "--k", "3.0"], "--k"),
+        (["validate-ibf", "--k", "4_"], "--k"),
+        (["cover-schedule", "--k", " 4"], "--k"),
     ],
 )
 def test_argv_integers_are_ascii_digits(capsys, argv, field):
     assert_one_line_error(*run_cli(capsys, *argv), field)
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--r-prime", "1e3"),
+        ("--r-prime", "\u0661"),
+        ("--r-prime", "inf"),
+        ("--r-prime", "1" * 400),
+        ("--base-scale", "1_0"),
+        ("--base-scale", "nan"),
+        ("--ratio-threshold", "4e0"),
+        ("--ratio-threshold", "0x10"),
+    ],
+)
+def test_argv_reals_use_the_rational_grammar(tmp_path, capsys, flag, value):
+    command = "cluster" if flag == "--r-prime" else "chain"
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps({"components": [_COMPONENT], "points": [[0, 0, 0]]}))
+    assert_one_line_error(*run_cli(capsys, command, "--input", str(src), flag, value), flag)
+
+
+def test_argv_reals_read_decimals_and_fractions(tmp_path, capsys):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps({"points": [[0, 0, 0], [0, 0, 1], [0, 0, 100]]}))
+    runs = [
+        run_cli(capsys, "chain", "--input", str(src), "--base-scale", scale, "--ratio-threshold", ratio)
+        for scale, ratio in (("10", "4"), ("10.0", "8/2"), ("+20/2", "4.00"))
+    ]
+    assert runs[0][0] == 0 and runs[0][1] == "[{{1,2},{3}}]\n"
+    assert runs == [runs[0]] * 3
+
+
+@pytest.mark.parametrize("text", ["", "{", "[1,]", "\xff"])
+def test_malformed_json_input_names_the_file(tmp_path, capsys, text):
+    src = tmp_path / "bad.json"
+    src.write_bytes(text.encode("latin-1"))
+    for command in ("cluster", "chain", "coords", "resultant"):
+        code, out, err = run_cli(capsys, command, "--input", str(src))
+        assert_one_line_error(code, out, err, f"--input {src}: ")
 
 
 def test_validate_ibf(capsys):

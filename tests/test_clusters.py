@@ -1,13 +1,18 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from monopole_corners import clusters as C
 from monopole_corners.errors import DegenerateInputError
 from monopole_corners.partitions import ChainFlag, IntegerPartition as IP, SetPartition
+
+
+def dist2(p, q):
+    """Squared Euclidean distance, exact on Fraction coordinates."""
+    return sum((a - b) * (a - b) for a, b in zip(p, q))
 
 
 def test_separation_two_points():
@@ -117,6 +122,135 @@ def test_tie_distance_counts_as_edge():
     assert C.taubes_cluster(inp).rounds == 1
 
 
+def merge_oracle(inp):
+    """(gamma, centres, merged groups) per round of the threshold merge,
+    recomputed with an all-pairs scan in Fraction arithmetic."""
+    centres = [tuple(Fraction(x) for x in c.center) for c in inp.components]
+    d = max(max(Fraction(c.diameter) for c in inp.components), Fraction(15))
+    radius = d + Fraction(inp.r_prime) + 1
+    gamma = 3 * radius - d / 2
+    rounds = []
+    while True:
+        label = list(range(len(centres)))
+        for i, j in combinations(range(len(centres)), 2):
+            if dist2(centres[i], centres[j]) <= gamma * gamma and label[i] != label[j]:
+                old = label[j]
+                label = [label[i] if x == old else x for x in label]
+        groups = sorted(
+            {tuple(i for i in range(len(centres)) if label[i] == x) for x in label}
+        )
+        if len(groups) == len(centres):
+            rounds.append((gamma, tuple(centres), None))
+            return rounds
+        rounds.append((gamma, tuple(centres), tuple(groups)))
+        d = (max(len(g) for g in groups) - 1) * gamma + 2 * radius
+        radius = d + 1
+        gamma = 3 * radius - d / 2
+        centres = [tuple(sum(centres[i][c] for i in g) / len(g) for c in range(3)) for g in groups]
+
+
+def history(dec):
+    return [(r.gamma, r.centers, r.merged_groups) for r in dec.history]
+
+
+def lattice_input(rng, pitch, n, offsets=((0, 0, 0),)):
+    """Components at up to n lattice points of the given pitch around the
+    origin, each shifted by a random nonempty subset of the offsets;
+    diameter 15 and R' = 1 make the first threshold exactly 43.5."""
+    sites = sorted({tuple(pitch * rng.randint(-4, 3) for _ in range(3)) for _ in range(n)})
+    points = {
+        tuple(a + b for a, b in zip(site, offset))
+        for site in sites
+        for offset in rng.sample(offsets, rng.randint(1, len(offsets)))
+    }
+    comps = [{"center": list(p), "diameter": 15.0, "charge": 1} for p in sorted(points)]
+    rng.shuffle(comps)
+    return C.StrongFieldInput(comps, r_prime=1.0)
+
+
+def test_threshold_merge_ties_on_cell_boundaries():
+    # Points 43.5 = gamma apart on a lattice lie on the boundaries of the
+    # grid cells (side gamma), many at negative coordinates; the offsets
+    # add ties across a cell corner: (18, 24, 31.5) has length exactly 43.5,
+    # and -0.25 vs 43.25 straddles the cell boundary at 0.
+    rng = random.Random(71)
+    tie = (18.0, 24.0, 31.5)
+    assert dist2(tie, (0, 0, 0)) == Fraction(87, 2) ** 2
+    cases = [
+        lattice_input(rng, 43.5, rng.randint(2, 60)) for _ in range(15)
+    ] + [
+        lattice_input(rng, 87.0, rng.randint(2, 25), ((0, 0, 0), tie, (-18.0, -24.0, -31.5)))
+        for _ in range(15)
+    ] + [
+        lattice_input(rng, 87.0, rng.randint(2, 25), ((0, 0, 0), (-0.25, 0, 0), (43.25, 0, 0)))
+        for _ in range(15)
+    ]
+    merged = 0
+    for inp in cases:
+        dec = C.taubes_cluster(inp)
+        assert history(dec) == merge_oracle(inp)
+        merged += dec.rounds > 0
+    assert merged >= 40
+    # just beyond gamma is not an edge; exactly gamma is
+    for x, rounds in ((43.5, 1), (43.5 + 2.0**-40, 0), (-43.5, 1)):
+        far = C.StrongFieldInput(
+            [{"center": [0.0, 0.0, 0.0], "diameter": 15.0, "charge": 1},
+             {"center": [x, 0.0, 0.0], "diameter": 15.0, "charge": 1}],
+            r_prime=1.0,
+        )
+        assert C.taubes_cluster(far).rounds == rounds
+
+
+def test_threshold_merge_matches_all_pairs_oracle_on_random_inputs():
+    rng = random.Random(72)
+    for _ in range(150):
+        inp = random_input(rng)
+        assert history(C.taubes_cluster(inp)) == merge_oracle(inp)
+
+
+def planted_clusters(rng, n_top):
+    """Clusters of clusters with fan-out 4 at every level: cubes of side 24
+    hold 4 components each and join at gamma = 43.5; 4 cubes 200 apart
+    join at gamma = 414.25; 4 such groups 2000 apart join at 3937.375;
+    groups of those 10^5 apart stay apart at 37407.0625.  Labels are
+    shuffled; the expected omega groups the labels of each top group."""
+    comps, tops = [], []
+    for t in range(n_top):
+        top = []
+        for g, c in product(range(4), repeat=2):
+            anchor = (100000.0 * t, 200.0 * c + rng.randint(-64, 64) / 8,
+                      2000.0 * g + rng.randint(-400, 400) / 8)
+            for _ in range(4):
+                centre = [a + rng.randint(0, 24 * 16) / 16 for a in anchor]
+                top.append(len(comps))
+                comps.append({"center": centre, "diameter": rng.randint(0, 240) / 16, "charge": 1})
+        tops.append(top)
+    order = list(range(len(comps)))
+    rng.shuffle(order)
+    label = {old: new for new, old in enumerate(order, start=1)}
+    shuffled = [comps[old] for old in order]
+    omega = SetPartition(len(comps), [[label[i] for i in top] for top in tops])
+    return C.StrongFieldInput(shuffled, r_prime=1.0), omega
+
+
+@pytest.mark.parametrize("n_top", [1, 2, 5, 156])
+def test_planted_clusters_of_clusters(n_top):
+    rng = random.Random(n_top)
+    inp, omega = planted_clusters(rng, n_top)
+    n = len(inp.components)
+    assert n == 64 * n_top <= 10**4
+    dec = C.taubes_cluster(inp)
+    assert dec.omega == omega
+    assert dec.rounds == 3
+    assert [r.n_clusters for r in dec.history] == [n, n // 4, n // 16, n // 64]
+    assert [r.gamma for r in dec.history] == [
+        Fraction(87, 2), Fraction(1657, 4), Fraction(31499, 8), Fraction(598513, 16)
+    ]
+    assert dec.cluster_type == IP([64] * n_top)
+    if n <= 128:
+        assert history(dec) == merge_oracle(inp)
+
+
 def random_input(rng):
     n = rng.randint(1, 10)
     comps = [
@@ -148,7 +282,7 @@ def test_randomized_invariants():
         # final centres pairwise beyond gamma (exact, squared distances)
         g2 = fin.gamma * fin.gamma
         for p, q in combinations(fin.centers, 2):
-            assert C._dist2(p, q) > g2
+            assert dist2(p, q) > g2
 
         # ball disjointness margin gamma - 2R = R - d/2 >= d/2 + 1 > 0
         assert fin.gamma - 2 * fin.radius == fin.radius - fin.d / 2
@@ -162,7 +296,7 @@ def test_randomized_invariants():
             for gi, group in enumerate(r0.merged_groups):
                 centre = r1.centers[gi]
                 for member in group:
-                    assert C._dist2(r0.centers[member], centre) <= gap * gap
+                    assert dist2(r0.centers[member], centre) <= gap * gap
 
         # separation bound from the proof: eps < n_final^2 / gamma
         m = len(fin.centers)

@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from monopole_corners.inputs import as_digits, as_int, as_list, as_object, as_rational, as_real
+from monopole_corners.inputs import (
+    as_digits,
+    as_int,
+    as_list,
+    as_object,
+    as_rational,
+    as_real,
+    as_real_text,
+)
 
 _HUGE = 10**400  # an integer no float can hold
 
@@ -85,6 +93,26 @@ def test_as_digits_refuses(text):
 def test_as_digits_minimum():
     with pytest.raises(ValueError, match="^n must be an integer >= 1, got '0'"):
         as_digits("0", "n", 1)
+
+
+@pytest.mark.parametrize(
+    "text", ["0.1", "435.0", "10", "-2.5", "1/3", "2/7", "1" + "0" * 308, "123456789.000000001"]
+)
+def test_as_real_text_matches_float_on_its_grammar(text):
+    got = as_real_text(text, "r")
+    assert type(got) is float
+    assert got == (float(text) if "/" not in text else float(Fraction(text)))
+
+
+@pytest.mark.parametrize("text", ["1e3", "inf", "nan", "1_0", "\u0661", " 1", "0x10"])
+def test_as_real_text_refuses_outside_the_grammar(text):
+    with pytest.raises(ValueError, match="^r: "):
+        as_real_text(text, "r")
+
+
+def test_as_real_text_refuses_values_beyond_float():
+    with pytest.raises(ValueError, match="^r: .* exceeds the floating-point range"):
+        as_real_text("1" * 400, "r")
 
 
 def test_shape_readers():

@@ -18,6 +18,17 @@ def rand_gaussian(rng, span=4):
     )
 
 
+# Pairwise coprime denominators far beyond a machine word.
+_BIG_DENOMINATORS = (10**9 + 7, 998244353, 2**61 - 1, 10**12 + 39, 3**40)
+
+
+def big_gaussian(rng):
+    return G(
+        Fraction(rng.randint(-10**6, 10**6), rng.choice(_BIG_DENOMINATORS)),
+        Fraction(rng.randint(-10**6, 10**6), rng.choice(_BIG_DENOMINATORS)),
+    )
+
+
 # --- independent oracles -----------------------------------------------------
 
 
@@ -99,6 +110,8 @@ def test_resultant_k1_evaluates_at_root():
     for _ in range(20):
         a0, b0 = rand_gaussian(rng), rand_gaussian(rng)
         assert R.resultant(M([a0], [b0])) == a0
+        a0, b0 = big_gaussian(rng), big_gaussian(rng)
+        assert R.resultant(M([a0], [b0])) == a0
 
 
 def test_resultant_vanishes_on_common_factor():
@@ -146,6 +159,81 @@ def test_resultant_zero_iff_gcd_nontrivial_exhaustive():
                 else:
                     gcd_nontrivial = poly_gcd_degree(psi_full, list(phi)) > 0
                 assert (R.resultant(m) == G(0)) == gcd_nontrivial, (phi, psi)
+
+
+# --- the integer elimination kernel -------------------------------------------
+
+def root_product(phi, roots):
+    """The planted-root oracle: the product of phi over the roots."""
+    out = G(1)
+    for r in roots:
+        out = out * poly_eval(phi, r)
+    return out
+
+
+def leibniz_det(re, im):
+    """Determinant of re + i*im by the permutation expansion."""
+    n = len(re)
+    total = G(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        term = G(-1 if inversions % 2 else 1)
+        for row, col in enumerate(perm):
+            term = term * G(re[row][col], im[row][col])
+        total = total + term
+    return total
+
+
+def test_resultant_with_large_coprime_denominators_matches_root_product():
+    rng = random.Random(31)
+    for k in range(1, 6):
+        for _ in range(6):
+            roots = [big_gaussian(rng) for _ in range(k)]
+            phi = [big_gaussian(rng) for _ in range(k)]
+            assert R.resultant(M(phi, poly_from_roots(roots)[:-1])) == root_product(phi, roots)
+
+
+def test_resultant_after_a_zero_pivot():
+    # psi = z^2 + z + b0, phi = z + 1: after the first elimination step the
+    # pivot a0 - a1*b1 is zero, so the next row must be swapped in.
+    # Res = (r1 + 1)(r2 + 1) = psi(-1) = b0.
+    for b0 in (G(3), G(Fraction(-7, 10**9 + 7), Fraction(2, 3))):
+        assert R.resultant(M([G(1), G(1)], [b0, G(1)])) == b0
+
+
+def test_resultant_vanishes_on_a_shared_root_with_large_denominators():
+    rng = random.Random(33)
+    for k in range(2, 6):
+        roots = [big_gaussian(rng) for _ in range(k)]
+        quotient = [big_gaussian(rng) for _ in range(k - 1)]
+        phi = [G(0)] * k                         # phi = (z - roots[0]) * quotient
+        for i, c in enumerate(quotient):
+            phi[i] = phi[i] - c * roots[0]
+            phi[i + 1] = phi[i + 1] + c
+        m = M(phi, poly_from_roots(roots)[:-1])
+        assert R.resultant(m) == G(0) and not R.is_based(m)
+
+
+def test_resultant_of_zero_phi_vanishes():
+    rng = random.Random(34)
+    for k in range(1, 7):
+        psi = [big_gaussian(rng) for _ in range(k)]
+        for phi in ([], [G(0)] * k):
+            m = M(phi, psi)
+            assert R.resultant(m) == G(0) and not R.is_based(m)
+
+
+def test_det_bareiss_matches_leibniz_on_sparse_gaussian_integer_matrices():
+    rng = random.Random(35)
+    swaps = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        re = [[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+        im = [[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+        want = leibniz_det(re, im)
+        swaps += not (re[0][0] or im[0][0])
+        assert G(*R._det_bareiss(re, im)) == want
+    assert swaps > 50
 
 
 def test_map_construction_validation():
