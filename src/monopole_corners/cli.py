@@ -5,6 +5,9 @@ validate-ibf, cover-schedule.  All flags are explicit, no environment
 variables are consulted, and identical inputs produce byte-identical
 output.  Malformed or out-of-range input exits with status 2 and a message
 on stderr; validate-ibf exits 1 when violations were found.
+
+Each subcommand imports the library modules it uses when it runs, so a
+process loads only the code of its own command.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ import json
 import re
 import sys
 
-from . import clusters, faces, gibbons_manton, ratmaps
 from .inputs import as_digits, as_rational, as_real_text
-from .partitions import ChainFlag, IntegerPartition, SetPartition
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -58,6 +59,9 @@ def _format_faces(descs, fmt: str) -> str:
 
 
 def _cmd_faces(args) -> int:
+    from . import faces
+    from .partitions import SetPartition
+
     k = as_digits(args.k, "--k", 0)
     nu = SetPartition.from_rgs(args.nu, "--nu") if args.nu else None
     if args.codim is None:
@@ -69,6 +73,8 @@ def _cmd_faces(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
+    from . import clusters
+
     inp = clusters.StrongFieldInput.from_json_dict(_load_json(args.input))
     if args.r_prime is not None:
         inp = clusters.StrongFieldInput(inp.components, as_real_text(args.r_prime, "--r-prime"))
@@ -81,11 +87,15 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_chain(args) -> int:
+    from . import clusters
+
     cfg = clusters.Configuration.from_json_dict(_load_json(args.input))
     flag = clusters.scale_chain(
         cfg,
-        as_real_text(args.base_scale, "--base-scale"),
-        as_real_text(args.ratio_threshold, "--ratio-threshold"),
+        clusters.DEFAULT_BASE_SCALE if args.base_scale is None
+        else as_real_text(args.base_scale, "--base-scale"),
+        clusters.DEFAULT_RATIO_THRESHOLD if args.ratio_threshold is None
+        else as_real_text(args.ratio_threshold, "--ratio-threshold"),
     )
     if args.format == "json":
         _emit(json.dumps([p.to_rgs() for p in flag], indent=2), args.output)
@@ -95,6 +105,9 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_coords(args) -> int:
+    from . import clusters
+    from .partitions import ChainFlag, SetPartition
+
     cfg = clusters.Configuration.from_json_dict(_load_json(args.input))
     rgs = args.chain.split(",") if args.chain else []
     parts = [SetPartition.from_rgs(s, "--chain") for s in rgs]
@@ -105,6 +118,8 @@ def _cmd_coords(args) -> int:
 
 
 def _cmd_resultant(args) -> int:
+    from . import ratmaps
+
     if args.input:
         pair = ratmaps.RationalMapPair.from_json_dict(_load_json(args.input))
     else:
@@ -129,6 +144,9 @@ def _cmd_resultant(args) -> int:
 
 
 def _cmd_gm(args) -> int:
+    from . import gibbons_manton
+    from .partitions import SetPartition
+
     lam = SetPartition.from_rgs(args.lam, "--lambda")
     nu = SetPartition.from_rgs(args.nu, "--nu")
     system = gibbons_manton.weight_system(lam, nu)
@@ -137,6 +155,9 @@ def _cmd_gm(args) -> int:
 
 
 def _cmd_torus_group(args) -> int:
+    from . import gibbons_manton
+    from .partitions import IntegerPartition
+
     parts = IntegerPartition(as_digits(x, "--type", 1) for x in args.type.split(","))
     structure = gibbons_manton.torus_group_structure(parts)
     _emit(
@@ -149,6 +170,8 @@ def _cmd_torus_group(args) -> int:
 
 
 def _cmd_validate_ibf(args) -> int:
+    from . import faces
+
     report = faces.validate_ibf(as_digits(args.k, "--k", 0))
     out = {
         "k": report.k,
@@ -164,6 +187,8 @@ def _cmd_validate_ibf(args) -> int:
 
 
 def _cmd_cover_schedule(args) -> int:
+    from . import faces
+
     rows = [
         {"type": list(t.parts), "depth": depth}
         for t, depth in faces.cover_schedule(as_digits(args.k, "--k", 0))
@@ -200,10 +225,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain", help="multi-scale chain of a configuration")
     p.add_argument("--input", required=True, help="configuration JSON with a 'points' list")
-    p.add_argument("--base-scale", dest="base_scale",
-                   default=str(clusters.DEFAULT_BASE_SCALE))
-    p.add_argument("--ratio-threshold", dest="ratio_threshold",
-                   default=str(clusters.DEFAULT_RATIO_THRESHOLD))
+    # Omitted, they are clusters.DEFAULT_BASE_SCALE and DEFAULT_RATIO_THRESHOLD,
+    # read in _cmd_chain so that building the parser does not import clusters.
+    p.add_argument("--base-scale", dest="base_scale")
+    p.add_argument("--ratio-threshold", dest="ratio_threshold")
     p.add_argument("--format", choices=("table", "json"), default="table")
     add_output(p)
     p.set_defaults(func=_cmd_chain)

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .errors import DegenerateInputError
 from .inputs import as_int, as_list, as_object, as_real
 from .partitions import (
@@ -38,7 +38,6 @@ from .partitions import (
     group_by_root,
     one_block,
     refines_integer_partition,
-    singletons,
 )
 
 #: Defaults for the heuristic multi-scale chain cut; the base scale is ten
@@ -110,17 +109,15 @@ def separation(c: Configuration) -> float:
     )
 
 
-@dataclass(frozen=True)
-class StrongFieldComponent:
-    center: Point
-    diameter: float
-    charge: int
+class StrongFieldComponent(Record):
+    __slots__ = ("center", "diameter", "charge")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", _point(self.center, "center"))
-        if as_real(self.diameter, "diameter") < 0:
-            raise ValueError(f"diameter must be nonnegative, got {self.diameter!r}")
-        object.__setattr__(self, "charge", as_int(self.charge, "charge", 1))
+    def __init__(self, center: Point, diameter: float, charge: int):
+        object.__setattr__(self, "center", _point(center, "center"))
+        if as_real(diameter, "diameter") < 0:
+            raise ValueError(f"diameter must be nonnegative, got {diameter!r}")
+        object.__setattr__(self, "diameter", diameter)
+        object.__setattr__(self, "charge", as_int(charge, "charge", 1))
 
 
 class StrongFieldInput:
@@ -169,36 +166,52 @@ class StrongFieldInput:
 FracPoint = tuple[Fraction, Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class ClusterRound:
-    """Exact state of one round: thresholds, centres, and the merge taken."""
+class ClusterRound(Record):
+    """Exact state of one round: thresholds, centres, and the merge taken
+    (`merged_groups` is None on the final round)."""
 
-    t: int
-    d: Fraction
-    radius: Fraction
-    gamma: Fraction
-    centers: tuple[FracPoint, ...]
-    merged_groups: tuple[tuple[int, ...], ...] | None  # None on the final round
+    __slots__ = ("t", "d", "radius", "gamma", "centers", "merged_groups")
+
+    def __init__(self, t: int, d: Fraction, radius: Fraction, gamma: Fraction,
+                 centers: tuple[FracPoint, ...],
+                 merged_groups: tuple[tuple[int, ...], ...] | None):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "merged_groups", merged_groups)
 
     @property
     def n_clusters(self) -> int:
         return len(self.centers)
 
 
-@dataclass(frozen=True)
-class ClusterDecomposition:
-    """Result of the threshold-merge algorithm."""
+class ClusterDecomposition(Record):
+    """Result of the threshold-merge algorithm.
 
-    omega: SetPartition                 # partition of the input component indices
-    centers: tuple[Point, ...]
-    radius: float
-    gamma: float
-    diameter: float
-    rounds: int
-    cluster_type: IntegerPartition      # sorted multiset of cluster charges
-    cluster_charges: tuple[int, ...]    # aligned with omega.blocks
-    epsilon: float                      # separation of the final centres
-    history: tuple[ClusterRound, ...]
+    `omega` partitions the input component indices, `cluster_type` is the
+    sorted multiset of cluster charges, `cluster_charges` is aligned with
+    `omega.blocks`, and `epsilon` is the separation of the final centres.
+    """
+
+    __slots__ = ("omega", "centers", "radius", "gamma", "diameter", "rounds", "cluster_type",
+                 "cluster_charges", "epsilon", "history")
+
+    def __init__(self, omega: SetPartition, centers: tuple[Point, ...], radius: float,
+                 gamma: float, diameter: float, rounds: int, cluster_type: IntegerPartition,
+                 cluster_charges: tuple[int, ...], epsilon: float,
+                 history: tuple[ClusterRound, ...]):
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "diameter", diameter)
+        object.__setattr__(self, "rounds", rounds)
+        object.__setattr__(self, "cluster_type", cluster_type)
+        object.__setattr__(self, "cluster_charges", cluster_charges)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "history", history)
 
     @property
     def exact(self) -> ClusterRound:
@@ -354,23 +367,34 @@ def types_comparable(a: IntegerPartition, b: IntegerPartition) -> bool:
 
 
 def _single_linkage_merges(points: Sequence[Point]) -> list[tuple[float, int, int]]:
-    """Merge events (distance, i, j) of the single-linkage tree, in order:
-    each joins the clusters of points i and j, and the last joins all."""
-    n = len(points)
-    parent = list(range(n + 1))
-    pairs = sorted(
-        (math.dist(points[i - 1], points[j - 1]), i, j)
-        for i, j in itertools.combinations(range(1, n + 1), 2)
-    )
+    """Merge events (distance, i, j), i < j, of the single-linkage tree, in
+    order: each joins the clusters of points i and j, and the last joins all.
+
+    The events are the edges of a minimum spanning tree, grown by Prim's
+    O(n^2) pass and then sorted.  With tied distances the tree may differ
+    from the one a sorted pass over all pairs picks, but every minimum
+    spanning tree has the same sorted distances and the same partition
+    after all merges up to any distance.
+    """
+    tree = [points[0]]
+    labels = [1]
+    rest = list(range(2, len(points) + 1))
+    best = [math.dist(points[0], points[j - 1]) for j in rest]
     events = []
-    for dist, i, j in pairs:
-        ri, rj = find_root(parent, i), find_root(parent, j)
-        if ri == rj:
-            continue
-        parent[ri] = rj
-        events.append((dist, i, j))
-        if len(events) == n - 1:
-            break
+    while rest:
+        m = best.index(min(best))
+        dist, j = best[m], rest[m]
+        p = points[j - 1]
+        i = labels[list(map(math.dist, tree, itertools.repeat(p))).index(dist)]
+        events.append((dist, min(i, j), max(i, j)))
+        tree.append(p)
+        labels.append(j)
+        rest[m], best[m] = rest[-1], best[-1]
+        rest.pop()
+        best.pop()
+        near = map(math.dist, itertools.repeat(p), (points[u - 1] for u in rest))
+        best = list(map(min, best, near))
+    events.sort()
     return events
 
 
@@ -431,16 +455,18 @@ def boundary_coords(c: Configuration, chain: ChainFlag) -> list[float]:
     levels = [p for p in chain.chain if not p.is_singletons()]
     levels.append(one_block(k))
     coords: list[float] = []
-    prev = singletons(k)
+    owner = list(range(k + 1))  # element -> its block at the previous level
     sigma_prev = None
     for lam in levels:
-        new_pairs = [
-            (i, j)
-            for i, j in itertools.combinations(range(1, k + 1), 2)
-            if lam.block_index(i) == lam.block_index(j)
-            and prev.block_index(i) != prev.block_index(j)
-        ]
-        sigma = min(math.dist(c.points[i - 1], c.points[j - 1]) for i, j in new_pairs)
+        sigma = min(
+            math.dist(c.points[i - 1], c.points[j - 1])
+            for b in lam.blocks
+            for i, j in itertools.combinations(b, 2)
+            if owner[i] != owner[j]
+        )
         coords.append(1.0 / sigma if sigma_prev is None else sigma_prev / sigma)
-        prev, sigma_prev = lam, sigma
+        for n, b in enumerate(lam.blocks):
+            for i in b:
+                owner[i] = n
+        sigma_prev = sigma
     return coords

@@ -16,8 +16,8 @@ nu-block.  The absolute atlas is the case nu = one block.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import RangeLimitError
 from .partitions import (
     ChainFlag,
@@ -34,18 +34,23 @@ ATLAS_K_MIN = 2
 ATLAS_K_MAX = 8
 
 
-@dataclass(frozen=True)
-class FaceDescriptor:
+class FaceDescriptor(Record):
     """One boundary face: a chain orbit with its dimension bookkeeping."""
 
-    k: int
-    chain: ChainFlag
-    nu: SetPartition
-    codim: int
-    total_dim: int
-    fiber_dim: int
-    base_dims: tuple[int, ...]
-    integer_types: tuple[IntegerPartition, ...]
+    __slots__ = ("k", "chain", "nu", "codim", "total_dim", "fiber_dim", "base_dims",
+                 "integer_types")
+
+    def __init__(self, k: int, chain: ChainFlag, nu: SetPartition, codim: int,
+                 total_dim: int, fiber_dim: int, base_dims: tuple[int, ...],
+                 integer_types: tuple[IntegerPartition, ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "codim", codim)
+        object.__setattr__(self, "total_dim", total_dim)
+        object.__setattr__(self, "fiber_dim", fiber_dim)
+        object.__setattr__(self, "base_dims", base_dims)
+        object.__setattr__(self, "integer_types", integer_types)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -61,14 +66,17 @@ class FaceDescriptor:
         return out
 
 
-@dataclass(frozen=True)
-class IbfReport:
+class IbfReport(Record):
     """Result of the combinatorial iterated-boundary-fibration checks."""
 
-    k: int
-    edges: tuple[tuple[IntegerPartition, IntegerPartition], ...]
-    hypersurface_dims: dict
-    violations: tuple[str, ...] = ()
+    __slots__ = ("k", "edges", "hypersurface_dims", "violations")
+
+    def __init__(self, k: int, edges: tuple[tuple[IntegerPartition, IntegerPartition], ...],
+                 hypersurface_dims: dict, violations: tuple[str, ...] = ()):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "hypersurface_dims", hypersurface_dims)
+        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

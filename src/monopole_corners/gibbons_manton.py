@@ -16,10 +16,10 @@ order gcd(k_i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
+from ._record import Record
 from .partitions import IntegerPartition, SetPartition, apply_permutation, refines
 
 
@@ -108,12 +108,15 @@ def weight_system(lam: SetPartition, nu: SetPartition) -> ChernWeightSystem:
     return ChernWeightSystem(lam.k, lam, nu, weights)
 
 
-@dataclass(frozen=True)
-class SplitWitness:
+class SplitWitness(Record):
     """Decomposition of each block's weights through an intermediate level."""
 
-    splits: bool
-    parts: dict  # rep -> (fine-side weights, pushed-down coarse-side weights)
+    __slots__ = ("splits", "parts")
+
+    def __init__(self, splits: bool, parts: dict):
+        # parts: rep -> (fine-side weights, pushed-down coarse-side weights)
+        object.__setattr__(self, "splits", splits)
+        object.__setattr__(self, "parts", parts)
 
 
 def restriction_splits(lam: SetPartition, mu: SetPartition, nu: SetPartition) -> SplitWitness:
@@ -176,10 +179,12 @@ def sym_action(sigma: Sequence[int], system: ChernWeightSystem) -> ChernWeightSy
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorusGroupStructure:
-    torus_rank: int
-    finite_order: int
+class TorusGroupStructure(Record):
+    __slots__ = ("torus_rank", "finite_order")
+
+    def __init__(self, torus_rank: int, finite_order: int):
+        object.__setattr__(self, "torus_rank", torus_rank)
+        object.__setattr__(self, "finite_order", finite_order)
 
 
 def torus_group_structure(a: IntegerPartition) -> TorusGroupStructure:

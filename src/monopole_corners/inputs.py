@@ -2,12 +2,12 @@
 counts as a number, one reader per kind and no coercion.  A bool is never a
 number, a string is one only for `as_rational`, `as_digits` and `as_real_text`
 (ASCII grammars, no binary float), and every reader raises ValueError naming
-its field."""
+its field.  `fractions` is imported only where a Fraction is made, so a
+process that reads no rational does not load it."""
 
 import math
 import re
 import sys
-from fractions import Fraction
 from numbers import Integral, Real
 
 _FLOAT_MAX = int(sys.float_info.max)
@@ -39,8 +39,10 @@ def as_real(x, what: str) -> float:
     return x
 
 
-def as_rational(x, what: str) -> Fraction:
+def as_rational(x, what: str) -> "Fraction":
     """An int or an ASCII rational string such as "-3/4" or "1.5", as a Fraction."""
+    from fractions import Fraction
+
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
             if isinstance(x, int) or _RATIONAL.fullmatch(x):

@@ -13,11 +13,11 @@ computed when asked for, so no Bell(k)^2 table is ever stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import partitions
+from ._record import Record
 from .errors import ChainError
 from .inputs import as_int, as_list, as_object
 
@@ -140,15 +140,17 @@ class ManyBodyStructure:
         return cls(d.get("ambient_dim"), dims, [tuple(r) for r in meets])
 
 
-@dataclass(frozen=True)
-class FaceFactor:
-    kind: str  # "M" (closed type) or "B" (boundary type)
-    description: str
-    dim: int
+class FaceFactor(Record):
+    __slots__ = ("kind", "description", "dim")
+
+    def __init__(self, kind: str, description: str, dim: int):
+        # kind: "M" (closed type) or "B" (boundary type)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "dim", dim)
 
 
-@dataclass(frozen=True)
-class ManyBodyFace:
+class ManyBodyFace(Record):
     """A corner of the compactification, indexed by a containment chain.
 
     `chain` lists the nonzero subspace labels largest first (A_1 over A_d);
@@ -156,8 +158,11 @@ class ManyBodyFace:
     free boundaries of the successive subquotients.
     """
 
-    chain: tuple[str, ...]
-    factors: tuple[FaceFactor, ...]
+    __slots__ = ("chain", "factors")
+
+    def __init__(self, chain: tuple[str, ...], factors: tuple[FaceFactor, ...]):
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def total_dim(self) -> int:

@@ -14,11 +14,11 @@ Everything here is immutable after construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
+from ._record import Record
 from .errors import ChainError, RangeLimitError
 from .inputs import as_digits, as_int, as_list, as_object
 
@@ -544,17 +544,21 @@ def chains_mod_symmetric_group(k: int, d: int) -> list[ChainFlag]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymmetryOrders:
-    order_sigma_lambda: int
-    order_stab: int
-    order_sym_lambda: int
+class SymmetryOrders(Record):
+    __slots__ = ("order_sigma_lambda", "order_stab", "order_sym_lambda")
+
+    def __init__(self, order_sigma_lambda: int, order_stab: int, order_sym_lambda: int):
+        object.__setattr__(self, "order_sigma_lambda", order_sigma_lambda)
+        object.__setattr__(self, "order_stab", order_stab)
+        object.__setattr__(self, "order_sym_lambda", order_sym_lambda)
 
 
-@dataclass(frozen=True)
-class FlagSymmetryOrders:
-    order_sym0: int
-    order_sym: int
+class FlagSymmetryOrders(Record):
+    __slots__ = ("order_sym0", "order_sym")
+
+    def __init__(self, order_sym0: int, order_sym: int):
+        object.__setattr__(self, "order_sym0", order_sym0)
+        object.__setattr__(self, "order_sym", order_sym)
 
 
 def symmetry_orders(lam: SetPartition) -> SymmetryOrders:

@@ -7,7 +7,7 @@ import pytest
 
 from monopole_corners import clusters as C
 from monopole_corners.errors import DegenerateInputError
-from monopole_corners.partitions import ChainFlag, IntegerPartition as IP, SetPartition
+from monopole_corners.partitions import ChainFlag, IntegerPartition as IP, SetPartition, find_root
 
 
 def dist2(p, q):
@@ -470,3 +470,104 @@ def test_rounds_csv_shape():
     assert len(lines) == 3
     assert lines[1].startswith("0,") and lines[1].endswith(",2")
     assert lines[2].startswith("1,") and lines[2].endswith(",1")
+
+
+def kruskal(points):
+    """Single linkage by brute force: sort all pairs and run Kruskal.
+    Returns the merge distances and the partition before each merge."""
+    k = len(points)
+    parent = list(range(k + 1))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    pairs = sorted((math.dist(points[i - 1], points[j - 1]), i, j)
+                   for i, j in combinations(range(1, k + 1), 2))
+    dists, levels = [], []
+    for d, i, j in pairs:
+        if root(i) != root(j):
+            groups = {}
+            for x in range(1, k + 1):
+                groups.setdefault(root(x), []).append(x)
+            levels.append(SetPartition(k, groups.values()))
+            parent[root(i)] = root(j)
+            dists.append(d)
+    return dists, levels
+
+
+def kruskal_chain(points, base_scale, ratio_threshold):
+    """scale_chain's cut rule applied to the brute-force merges."""
+    dists, levels = kruskal(points)
+    dists = [1.0] + dists
+    return [levels[m] for m in range(len(points) - 1)
+            if dists[m + 1] > base_scale and dists[m + 1] > ratio_threshold * max(dists[m], 1.0)]
+
+
+def lattice(rng, n, scales):
+    """n distinct integer-lattice points on a few scales: many exact ties."""
+    pts = set()
+    while len(pts) < n:
+        s = rng.choice(scales)
+        pts.add(tuple(rng.randint(-2, 2) * s + rng.randint(0, 1) for _ in range(3)))
+    pts = sorted(pts)
+    rng.shuffle(pts)
+    return pts
+
+
+def test_scale_chain_matches_sorted_pairs_kruskal_on_lattices():
+    rng = random.Random(7)
+    configs = [[(x, y, z) for x in range(n) for y in range(n) for z in range(n)] for n in (2, 3, 4)]
+    configs.append([(100 * x, y, 10000 * z) for x in range(3) for y in range(3) for z in range(3)])
+    configs += [lattice(rng, rng.randint(2, 40), (1, 10, 1000, 10**5)) for _ in range(60)]
+    cuts = [(435.0, 10.0), (1.5, 1.5), (0.5, 1.01), (5.0, 2.0)]
+    for pts in configs:
+        cfg = C.Configuration(pts)
+        merges = C._single_linkage_merges(cfg.points)
+        assert [d for d, _, _ in merges] == kruskal(cfg.points)[0]
+        assert merges == sorted(merges)
+        parent = list(range(len(pts) + 1))
+        for d, i, j in merges:  # a spanning tree of edges of the stated lengths
+            assert i < j and d == math.dist(cfg.points[i - 1], cfg.points[j - 1])
+            assert find_root(parent, i) != find_root(parent, j)
+            parent[find_root(parent, i)] = find_root(parent, j)
+        for base, ratio in cuts:
+            assert list(C.scale_chain(cfg, base, ratio)) == kruskal_chain(cfg.points, base, ratio)
+
+
+def coords_by_pair_scan(points, flag):
+    """boundary_coords by testing every pair at every level."""
+    k = len(points)
+    levels = [p for p in flag if not p.is_singletons()] + [SetPartition(k, [range(1, k + 1)])]
+    prev, sigma_prev, out = SetPartition(k, [[i] for i in range(1, k + 1)]), None, []
+    for lam in levels:
+        sigma = min(math.dist(points[i - 1], points[j - 1])
+                    for i, j in combinations(range(1, k + 1), 2)
+                    if lam.block_index(i) == lam.block_index(j)
+                    and prev.block_index(i) != prev.block_index(j))
+        out.append(1.0 / sigma if sigma_prev is None else sigma_prev / sigma)
+        prev, sigma_prev = lam, sigma
+    return out
+
+
+def test_boundary_coords_match_pair_scan_on_planted_configurations():
+    rng = random.Random(11)
+    configs = [
+        [(0, 0, 0), (2, 0, 0), (10, 0, 0)],
+        [(0, 0, 0), (2, 0, 0), (500, 0, 0), (100000, 0, 0)],
+        [(0, 0, 0), (1000, 0, 0), (500, 500 * math.sqrt(3), 0)],
+    ]
+    for n_top, n_mid, n_leaf in ((1, 3, 4), (2, 3, 3), (3, 2, 5)):
+        configs.append([(1e6 * g + rng.uniform(-9, 9), 1000.0 * c + rng.uniform(-9, 9),
+                         rng.uniform(-1, 1))
+                        for g in range(n_top) for c in range(n_mid) for _ in range(n_leaf)])
+    configs += [lattice(rng, rng.randint(2, 25), (1, 10, 1000)) for _ in range(30)]
+    for pts in configs:
+        cfg = C.Configuration(pts)
+        for base, ratio in ((435.0, 10.0), (1.5, 1.5), (0.5, 1.01)):
+            flag = C.scale_chain(cfg, base, ratio)
+            assert C.boundary_coords(cfg, flag) == coords_by_pair_scan(cfg.points, flag)
+            for m in range(len(flag)):
+                part = ChainFlag(len(pts), flag.chain[m:])
+                assert C.boundary_coords(cfg, part) == coords_by_pair_scan(cfg.points, part)
