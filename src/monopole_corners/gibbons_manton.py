@@ -88,24 +88,27 @@ def _check_flag(lam: SetPartition, nu: SetPartition) -> None:
         raise ValueError(f"{lam} does not refine {nu}")
 
 
+def _owners(lam: SetPartition) -> dict[int, int]:
+    """Each element mapped to the representative (minimum) of its block."""
+    return {i: b[0] for b in lam.blocks for i in b}
+
+
+def _weights(lam: SetPartition, nu: SetPartition) -> dict[int, dict[int, int]]:
+    """The weights of the flag lam < nu, keyed in ascending order."""
+    owner = _owners(nu)
+    by_owner: dict[int, list[tuple[int, ...]]] = {}
+    for b in lam.blocks:
+        by_owner.setdefault(owner[b[0]], []).append(b)
+    return {
+        b[0]: {b2[0]: 2 * len(b2) for b2 in by_owner[owner[b[0]]] if b2 is not b}
+        for b in lam.blocks
+    }
+
+
 def weight_system(lam: SetPartition, nu: SetPartition) -> ChernWeightSystem:
     """The Chern-weight system of the strict flag lam < nu."""
     _check_flag(lam, nu)
-    owner = {}
-    for n, b in enumerate(nu.blocks):
-        for i in b:
-            owner[i] = n
-    weights: dict[int, dict[int, int]] = {}
-    for b in lam.blocks:
-        rep = b[0]
-        row: dict[int, int] = {}
-        for b2 in lam.blocks:
-            if b2 is b:
-                continue
-            if owner[b2[0]] == owner[rep]:
-                row[b2[0]] = 2 * len(b2)
-        weights[rep] = row
-    return ChernWeightSystem(lam.k, lam, nu, weights)
+    return ChernWeightSystem(lam.k, lam, nu, _weights(lam, nu))
 
 
 class SplitWitness(Record):
@@ -130,27 +133,28 @@ def restriction_splits(lam: SetPartition, mu: SetPartition, nu: SetPartition) ->
     """
     _check_flag(lam, mu)
     _check_flag(mu, nu)
-    w_ln = weight_system(lam, nu)
-    w_lm = weight_system(lam, mu)
-    w_mn = weight_system(mu, nu)
+    # lam < nu follows: refinement is transitive and lam != mu <= nu.
+    w_ln = _weights(lam, nu)
+    w_lm = _weights(lam, mu)
+    w_mn = _weights(mu, nu)
+    mu_rep = _owners(mu)
     lam_by_mu: dict[int, list[tuple[int, ...]]] = {}
     for b in lam.blocks:
-        lam_by_mu.setdefault(mu.block_of(b[0])[0], []).append(b)
+        lam_by_mu.setdefault(mu_rep[b[0]], []).append(b)
 
     ok = True
     parts = {}
     for b in lam.blocks:
         rep = b[0]
-        fine = dict(w_lm.weights[rep])
-        mu_rep = mu.block_of(rep)[0]
+        fine = w_lm[rep]
         pushed: dict[int, int] = {}
-        for mu_target in w_mn.weights[mu_rep]:
+        for mu_target in w_mn[mu_rep[rep]]:
             for sub in lam_by_mu[mu_target]:
                 pushed[sub[0]] = 2 * len(sub)
         parts[rep] = (fine, pushed)
         merged = dict(fine)
         merged.update(pushed)
-        if set(fine) & set(pushed) or merged != w_ln.weights[rep]:
+        if set(fine) & set(pushed) or merged != w_ln[rep]:
             ok = False
     return SplitWitness(ok, parts)
 

@@ -54,8 +54,21 @@ class SetPartition:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "blocks", blks)
 
+    @classmethod
+    def _canonical(cls, k: int, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
+        """Wrap blocks that are already canonical, without checking them:
+        ascending tuples, sorted by minimum, covering {1..k} disjointly.
+        Only for callers whose blocks are valid by construction."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "blocks", blocks)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("SetPartition is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.k, self.blocks)
 
     @property
     def rank(self) -> int:
@@ -103,10 +116,15 @@ class SetPartition:
             if n > top + 1:
                 raise ValueError(f"{what}: not a restricted-growth string: {s!r}")
             top = max(top, n)
-        blocks: dict[int, list[int]] = {}
+        # Restricted growth opens block n at its first element, after
+        # blocks 0..n-1, so first-appearance order is order by minimum.
+        blocks: list[list[int]] = []
         for i, n in enumerate(idx, start=1):
-            blocks.setdefault(n, []).append(i)
-        return cls(len(idx), blocks.values())
+            if n == len(blocks):
+                blocks.append([i])
+            else:
+                blocks[n].append(i)
+        return cls._canonical(len(idx), tuple(map(tuple, blocks)))
 
     def to_json_dict(self) -> dict:
         return {"k": self.k, "blocks": [list(b) for b in self.blocks]}
@@ -155,6 +173,9 @@ class IntegerPartition:
     def __setattr__(self, name, value):
         raise AttributeError("IntegerPartition is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.parts,)
+
     @property
     def total(self) -> int:
         return sum(self.parts)
@@ -200,8 +221,21 @@ class ChainFlag:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "chain", entries)
 
+    @classmethod
+    def _canonical(cls, k: int, chain: tuple[SetPartition, ...]) -> "ChainFlag":
+        """Wrap a tuple of proper partitions of {1..k}, each strictly
+        refining the next, without checking it.  Only for callers whose
+        chains are valid by construction."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "chain", chain)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("ChainFlag is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.k, self.chain)
 
     def __len__(self) -> int:
         return len(self.chain)
@@ -241,20 +275,25 @@ def all_partitions(k: int) -> list[SetPartition]:
 def iter_partitions(k: int) -> Iterator[SetPartition]:
     if not 1 <= k <= ENUMERATION_LIMIT:
         raise RangeLimitError(f"k must be in 1..{ENUMERATION_LIMIT}, got {k}")
-    idx = [0] * k
+    new = SetPartition._canonical
+    # Element i joins each open block in turn, then opens a new one: the
+    # restricted-growth strings in lexicographic order.  Blocks stay
+    # ascending and in order of their minimum, so no output is re-checked.
+    blocks: list[list[int]] = [[1]]
 
-    def rec(i: int, top: int) -> Iterator[SetPartition]:
-        if i == k:
-            blocks: dict[int, list[int]] = {}
-            for j, n in enumerate(idx, start=1):
-                blocks.setdefault(n, []).append(j)
-            yield SetPartition(k, blocks.values())
+    def place(i: int) -> Iterator[SetPartition]:
+        if i > k:
+            yield new(k, tuple(map(tuple, blocks)))
             return
-        for n in range(top + 2):
-            idx[i] = n
-            yield from rec(i + 1, max(top, n))
+        for b in blocks:
+            b.append(i)
+            yield from place(i + 1)
+            b.pop()
+        blocks.append([i])
+        yield from place(i + 1)
+        blocks.pop()
 
-    yield from rec(1, 0)
+    yield from place(2)
 
 
 def refines(lam: SetPartition, mu: SetPartition) -> bool:
@@ -446,7 +485,13 @@ def _tower_size(t) -> int:
     return t if isinstance(t, int) else sum(_tower_size(c) for c in t)
 
 
-def _tower_refinements(tower, memo: dict) -> list[tuple]:
+@lru_cache(maxsize=None)
+def _leaf_refinements(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(parts descending, part count) for each integer partition of n."""
+    return tuple((tuple(reversed(p.parts)), len(p)) for p in integer_partitions(n))
+
+
+def _tower_refinements(tower, memo: dict) -> Sequence[tuple]:
     """(refined tower, leaf count) for every way of replacing each leaf n of
     `tower` by an integer partition of n, with children re-sorted
     canonically.  `memo` must already hold the answer for every leaf."""
@@ -469,10 +514,7 @@ def _chain_orbits_relative(
     the partition with the given blocks, under permutations fixing each
     block.  The absolute case is a single block with coarse_rank 1.
     """
-    memo: dict = {
-        n: [(tuple(reversed(p.parts)), len(p)) for p in integer_partitions(n)]
-        for n in range(1, max(len(b) for b in blocks) + 1)
-    }
+    memo: dict = {n: _leaf_refinements(n) for n in range(1, max(len(b) for b in blocks) + 1)}
     # Each forest maps to the rank of its finest level so far.
     forests = {tuple(len(b) for b in blocks): coarse_rank}
     for level in range(1, d + 1):
@@ -484,6 +526,9 @@ def _chain_orbits_relative(
                 if rank < n <= cap:
                     refined[tuple(t for t, _ in combo)] = n
         forests = refined
+    # Each realized block is an ascending run of one coarse block, and each
+    # level strictly refines the next, so the flags are valid as built.
+    new_partition, new_flag = SetPartition._canonical, ChainFlag._canonical
     out: list[ChainFlag] = []
     for forest in forests:
         level_blocks: list[list[tuple[int, ...]]] = [[] for _ in range(d)]
@@ -491,7 +536,7 @@ def _chain_orbits_relative(
             per_level = _realize_tower(tower, members, d)
             for j in range(d):
                 level_blocks[j].extend(per_level[j])
-        out.append(ChainFlag(k, [SetPartition(k, level_blocks[j]) for j in range(d)]))
+        out.append(new_flag(k, tuple(new_partition(k, tuple(sorted(lb))) for lb in level_blocks)))
     # Atlas order: finest ranks descending, then block-size types, then RGS.
     out.sort(key=lambda f: (
         [-p.rank for p in f.chain],

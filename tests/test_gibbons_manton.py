@@ -115,6 +115,31 @@ def test_splitting_witness_parts_merge():
     assert not set(fine) & set(pushed)
 
 
+def test_splitting_checks_two_flags_per_triple(monkeypatch):
+    calls = []
+    kernel = P.refines
+
+    def counting(a, b):
+        calls.append((a, b))
+        return kernel(a, b)
+
+    monkeypatch.setattr(GM, "refines", counting)
+    triples = 0
+    for k in range(3, 6):
+        for lam, mu in strict_flags(k):
+            for nu in P.all_partitions(k):
+                if mu != nu and kernel(mu, nu):
+                    calls.clear()
+                    res = GM.restriction_splits(lam, mu, nu)
+                    assert calls == [(lam, mu), (mu, nu)]
+                    assert res.splits
+                    for rep, (fine, pushed) in res.parts.items():
+                        assert fine == GM.weight_system(lam, mu).weights[rep]
+                        assert {**fine, **pushed} == GM.weight_system(lam, nu).weights[rep]
+                    triples += 1
+    assert triples > 500
+
+
 def test_splitting_rejects_degenerate_chains():
     lam = P.singletons(3)
     nu = P.one_block(3)

@@ -1,5 +1,6 @@
 import json
 from itertools import combinations, product
+from random import Random
 
 import pytest
 
@@ -306,3 +307,105 @@ def test_json_round_trip():
     assert MB.validate(rt) == []
     for a, b in combinations(ws.labels, 2):
         assert rt.meet(a, b) == ws.meet(a, b)
+
+
+def test_validate_asks_each_unordered_pair_once_in_label_order():
+    ws = MB.diagonal_structure(5, 2)
+    asked = []
+
+    def counting(a, b):
+        asked.append((a, b))
+        return ws.meet(a, b)
+
+    wrapped = MB.ManyBodyStructure(ws.ambient_dim, ws.dims, counting)
+    assert MB.validate(wrapped) == []
+    n = len(ws.labels)
+    assert n == 52 and len(asked) == n * (n - 1) // 2 == 1326
+    assert asked == list(combinations(ws.labels, 2))
+
+
+def _validate_all_calls(ws, meet_fn):
+    """Reference: the axiom checks asking the meet afresh at every use."""
+    dims = ws.dims
+
+    def meet(a, b):
+        if a == b:
+            return a
+        c = meet_fn(a, b)
+        return c if c in dims else None
+
+    violations = []
+    labels = ws.labels
+    zeros = [l for l in labels if dims[l] == 0]
+    if len(zeros) != 1:
+        violations.append(f"expected exactly one zero element, found {zeros}")
+    tops = [l for l in labels if dims[l] == ws.ambient_dim]
+    if len(tops) != 1:
+        violations.append(f"expected exactly one top element, found {tops}")
+    pair_violations = []
+    for a, b in combinations(labels, 2):
+        c = meet(a, b)
+        if c is None:
+            violations.append(f"closure violation: no meet for {a!r}, {b!r}")
+            continue
+        if c != a and c != b and (meet(c, a) != c or meet(c, b) != c):
+            pair_violations.append(f"meet({a!r},{b!r})={c!r} is not a common lower bound")
+        if c == a and dims[a] >= dims[b]:
+            pair_violations.append(f"dimension not monotone: {a!r} < {b!r} but dims {dims[a]} >= {dims[b]}")
+        if c == b and dims[b] >= dims[a]:
+            pair_violations.append(f"dimension not monotone: {b!r} < {a!r} but dims {dims[b]} >= {dims[a]}")
+    if len(zeros) == 1:
+        z = zeros[0]
+        for l in labels:
+            if meet(z, l) not in (z, None):
+                violations.append(f"zero element {z!r} is not below {l!r}")
+    if len(tops) == 1:
+        t = tops[0]
+        for l in labels:
+            if meet(t, l) not in (l, None):
+                violations.append(f"top element {t!r} is not above {l!r}")
+    return violations + pair_violations
+
+
+def _planted_structure(rng):
+    """A diagonal family with renamed labels and random planted faults."""
+    base = MB.diagonal_structure(rng.choice((2, 3, 3, 4)), rng.choice((1, 2)))
+    names = {l: rng.choice("abcxyz") + l for l in base.labels}
+    table = {frozenset((names[a], names[b])): names[base.meet(a, b)]
+             for a, b in combinations(base.labels, 2)}
+    dims = {names[l]: d for l, d in base.dims.items()}
+    labels = sorted(dims)
+    pairs = list(combinations(labels, 2))
+    for _ in range(rng.randrange(4)):
+        fault = rng.randrange(6)
+        pair = frozenset(rng.choice(pairs))
+        if fault == 0:
+            table.pop(pair, None)
+        elif fault == 1:
+            table[pair] = "outside"
+        elif fault == 2:
+            table[pair] = rng.choice(labels)
+        elif fault == 3:
+            l = rng.choice(labels)
+            dims[l] = rng.randrange(base.ambient_dim + 1)
+        elif fault == 4:
+            dims.pop(rng.choice(labels), None)
+        else:
+            table[pair] = rng.choice(sorted(pair))
+
+    def meet(a, b):
+        return table.get(frozenset((a, b)))
+
+    return MB.ManyBodyStructure(base.ambient_dim, dims, meet), meet
+
+
+def test_validate_matches_all_calls_reference_on_planted_faults():
+    rng = Random(20261018)
+    prefixes = ("expected", "closure", "zero", "top", "meet(", "dimension")
+    seen = set()
+    for _ in range(500):
+        ws, meet = _planted_structure(rng)
+        got = MB.validate(ws)
+        assert got == _validate_all_calls(ws, meet)
+        seen.update(p for p in prefixes for v in got if v.startswith(p))
+    assert seen == set(prefixes)

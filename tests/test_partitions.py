@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import combinations, permutations
 from math import comb
@@ -467,3 +469,140 @@ def test_type_refinement_matches_set_partition_refinement():
                 if a == b:
                     continue
                 assert ((a, b) in realized) == P.refines_integer_partition(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Trusted construction: what the enumerators build without checking equals
+# what the checked public constructors build.
+# ---------------------------------------------------------------------------
+
+
+def _assert_canonical(p):
+    assert type(p.blocks) is tuple and all(type(b) is tuple for b in p.blocks)
+    assert all(list(b) == sorted(b) for b in p.blocks)
+    assert [b[0] for b in p.blocks] == sorted(b[0] for b in p.blocks)
+    rebuilt = SetPartition(p.k, p.blocks)
+    assert rebuilt == p and rebuilt.blocks == p.blocks and hash(rebuilt) == hash(p)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_enumerated_partitions_equal_checked_rebuild(k):
+    seen = []
+    for p in P.iter_partitions(k):
+        assert p.k == k
+        _assert_canonical(p)
+        seen.append(p.to_rgs())
+    assert seen == sorted(seen)
+
+
+def _all_rgs(k):
+    """Every restricted-growth word of length k, by brute force."""
+    words = [()]
+    for _ in range(k):
+        words = [w + (n,) for w in words for n in range(max(w, default=-1) + 2)]
+    return words
+
+
+def _checked_from_word(word):
+    blocks = {}
+    for i, n in enumerate(word, start=1):
+        blocks.setdefault(n, []).append(i)
+    return SetPartition(len(word), blocks.values())
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_from_rgs_equals_checked_construction(k):
+    for word in _all_rgs(k):
+        want = _checked_from_word(word)
+        for text in ("".join(map(str, word)), "|".join(map(str, word))):
+            got = SetPartition.from_rgs(text)
+            assert got == want and got.blocks == want.blocks
+            _assert_canonical(got)
+    wide = tuple(range(12))
+    assert SetPartition.from_rgs("|".join(map(str, wide))) == _checked_from_word(wide)
+
+
+@pytest.mark.parametrize("text, what, message", [
+    ("", None, "restricted-growth string is empty"),
+    ("", "--nu", "--nu is empty"),
+    ("1", None, "restricted-growth string: not a restricted-growth string: '1'"),
+    ("021", None, "restricted-growth string: not a restricted-growth string: '021'"),
+    ("021", "--lambda", "--lambda: not a restricted-growth string: '021'"),
+    ("01|2", None, "restricted-growth string: not a restricted-growth string: '01|2'"),
+    ("0|2", "--nu", "--nu: not a restricted-growth string: '0|2'"),
+    ("0|1|3", None, "restricted-growth string: not a restricted-growth string: '0|1|3'"),
+    ("0١", "--lambda", "--lambda must be an integer >= 0, got '١'"),
+    ("٠", None, "restricted-growth string must be an integer >= 0, got '٠'"),
+    ("0_", "--nu", "--nu must be an integer >= 0, got '_'"),
+    ("0|1|", "--nu", "--nu must be an integer >= 0, got ''"),
+    ("|", None, "restricted-growth string must be an integer >= 0, got ''"),
+    ("0x", None, "restricted-growth string must be an integer >= 0, got 'x'"),
+    ("-1", None, "restricted-growth string must be an integer >= 0, got '-'"),
+    ("0 1", None, "restricted-growth string must be an integer >= 0, got ' '"),
+    # every token is read before the growth check
+    ("2x", "--chain", "--chain must be an integer >= 0, got 'x'"),
+])
+def test_from_rgs_error_messages(text, what, message):
+    with pytest.raises(ValueError) as exc:
+        SetPartition.from_rgs(text) if what is None else SetPartition.from_rgs(text, what)
+    assert str(exc.value) == message
+
+
+def _assert_flag_rebuilds(flag):
+    for p in flag:
+        _assert_canonical(p)
+    rebuilt = P.ChainFlag(flag.k, [SetPartition(flag.k, p.blocks) for p in flag])
+    assert rebuilt == flag and hash(rebuilt) == hash(flag)
+    assert type(flag.chain) is tuple
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_atlas_flags_equal_checked_rebuild(k):
+    for d in range(1, k):
+        for face in F.corner_atlas(k, d):
+            assert len(face.chain) == d
+            _assert_flag_rebuilds(face.chain)
+
+
+# shapes 4+4, 3+3+2 and 2+2+2+2, with interleaved coarse blocks
+@pytest.mark.parametrize("nu", ["01011010", "01201201", "01232103"])
+def test_relative_atlas_flags_equal_checked_rebuild(nu):
+    coarse = SetPartition.from_rgs(nu)
+    for d in range(1, 8 - coarse.rank + 1):
+        faces = F.corner_atlas(8, d, nu=coarse)
+        assert faces
+        for face in faces:
+            _assert_flag_rebuilds(face.chain)
+            assert P.refines(face.chain[-1], coarse) and face.chain[-1] != coarse
+
+
+def test_chainflag_error_messages():
+    lam = SetPartition(3, [[1, 2], [3]])
+    cases = [
+        ((3, [P.one_block(3)]), "chain entries must be proper partitions"),
+        ((3, [lam, lam]), "{{1,2},{3}} does not strictly refine {{1,2},{3}}"),
+        ((3, [lam, SetPartition(3, [[1, 3], [2]])]),
+         "{{1,2},{3}} does not strictly refine {{1,3},{2}}"),
+        ((4, [lam]), "chain entry SetPartition(3, {{1,2},{3}}) is not a partition of {1..4}"),
+        ((3, ["012"]), "chain entry '012' is not a partition of {1..3}"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ChainError) as exc:
+            P.ChainFlag(*args)
+        assert str(exc.value) == message
+
+
+def test_partitions_copy_and_pickle_through_the_constructor():
+    lam = SetPartition(4, [[1, 3], [2], [4]])
+    values = [lam, IntegerPartition([3, 1, 2]),
+              P.ChainFlag(4, [lam, SetPartition(4, [[1, 3, 4], [2]])]), P.ChainFlag(2, [])]
+    for x in values:
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x) and y == x and hash(y) == hash(x)
+            with pytest.raises(AttributeError):
+                y.k = 5
+    # copies and unpickling rebuild through the checked constructor
+    cls, args = lam.__reduce__()
+    assert (cls, args) == (SetPartition, (4, lam.blocks))
+    with pytest.raises(ValueError, match="element 4 outside 1..3"):
+        cls(3, args[1])

@@ -55,9 +55,6 @@ RECORDS = [
 
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
-#: The records that hold no partition object (partitions do not pickle).
-PLAIN = [r for r in RECORDS if r[0] not in (F.FaceDescriptor, F.IbfReport, C.ClusterDecomposition)]
-
 
 def _build(cls, fields):
     return cls(**dict(fields))
@@ -113,7 +110,7 @@ def test_fields_cannot_be_assigned_or_deleted(cls, fields, hashable):
         rec.not_a_field = 1
 
 
-@pytest.mark.parametrize("cls, fields, hashable", PLAIN, ids=[r[0].__name__ for r in PLAIN])
+@pytest.mark.parametrize("cls, fields, hashable", RECORDS, ids=IDS)
 def test_copy_and_pickle_round_trip(cls, fields, hashable):
     rec = _build(cls, fields)
     assert copy.copy(rec) == rec
