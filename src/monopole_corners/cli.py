@@ -34,7 +34,7 @@ def _load_json(path: str) -> dict:
     with open(path) as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        except (ValueError, RecursionError) as exc:  # malformed, not UTF-8, or nested too deep
             raise ValueError(f"--input {path}: {exc}") from None
 
 

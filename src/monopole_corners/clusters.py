@@ -455,18 +455,16 @@ def boundary_coords(c: Configuration, chain: ChainFlag) -> list[float]:
     levels = [p for p in chain.chain if not p.is_singletons()]
     levels.append(one_block(k))
     coords: list[float] = []
-    owner = list(range(k + 1))  # element -> its block at the previous level
+    prev: Sequence[int] = range(k)  # element i - 1 -> its block at the previous level
     sigma_prev = None
     for lam in levels:
         sigma = min(
             math.dist(c.points[i - 1], c.points[j - 1])
             for b in lam.blocks
             for i, j in itertools.combinations(b, 2)
-            if owner[i] != owner[j]
+            if prev[i - 1] != prev[j - 1]
         )
         coords.append(1.0 / sigma if sigma_prev is None else sigma_prev / sigma)
-        for n, b in enumerate(lam.blocks):
-            for i in b:
-                owner[i] = n
+        prev = lam.index
         sigma_prev = sigma
     return coords

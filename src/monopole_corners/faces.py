@@ -27,7 +27,6 @@ from .partitions import (
     integer_partitions,
     one_block,
     refines_integer_partition,
-    type_of,
 )
 
 ATLAS_K_MIN = 2
@@ -88,7 +87,8 @@ def _check_k(k: int) -> None:
         raise RangeLimitError(f"k must be in {ATLAS_K_MIN}..{ATLAS_K_MAX}, got {k}")
 
 
-def _descriptor_from_chain(k: int, flag: ChainFlag, nu: SetPartition) -> FaceDescriptor:
+def _descriptor_from_chain(k: int, flag: ChainFlag, nu: SetPartition,
+                           types: dict[tuple[int, ...], IntegerPartition]) -> FaceDescriptor:
     d = len(flag)
     ranks = [p.rank for p in flag.chain] + [nu.rank]
     fiber = 4 * k - 3 * ranks[0]
@@ -102,7 +102,7 @@ def _descriptor_from_chain(k: int, flag: ChainFlag, nu: SetPartition) -> FaceDes
         total_dim=total,
         fiber_dim=fiber,
         base_dims=bases,
-        integer_types=tuple(type_of(p) for p in flag.chain),
+        integer_types=tuple(types[tuple(sorted(map(len, p.blocks)))] for p in flag.chain),
     )
 
 
@@ -123,7 +123,9 @@ def corner_atlas(k: int, d: int, nu: SetPartition | None = None) -> list[FaceDes
     if d > k - nu.rank:
         return []
     flags = _chain_orbits_relative(k, d, nu.blocks, nu.rank)
-    return [_descriptor_from_chain(k, flag, nu) for flag in flags]
+    # Each level's type is an integer partition of k: one shared object per type.
+    types = {t.parts: t for t in integer_partitions(k)}
+    return [_descriptor_from_chain(k, flag, nu, types) for flag in flags]
 
 
 def hypersurface_atlas(k: int, nu: SetPartition | None = None) -> list[FaceDescriptor]:

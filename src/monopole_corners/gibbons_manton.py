@@ -20,7 +20,7 @@ from math import gcd
 from typing import Sequence
 
 from ._record import Record
-from .partitions import IntegerPartition, SetPartition, apply_permutation, refines
+from .partitions import IntegerPartition, SetPartition, apply_permutation, blocks_within, refines
 
 
 class ChernWeightSystem:
@@ -88,19 +88,11 @@ def _check_flag(lam: SetPartition, nu: SetPartition) -> None:
         raise ValueError(f"{lam} does not refine {nu}")
 
 
-def _owners(lam: SetPartition) -> dict[int, int]:
-    """Each element mapped to the representative (minimum) of its block."""
-    return {i: b[0] for b in lam.blocks for i in b}
-
-
 def _weights(lam: SetPartition, nu: SetPartition) -> dict[int, dict[int, int]]:
     """The weights of the flag lam < nu, keyed in ascending order."""
-    owner = _owners(nu)
-    by_owner: dict[int, list[tuple[int, ...]]] = {}
-    for b in lam.blocks:
-        by_owner.setdefault(owner[b[0]], []).append(b)
+    groups = blocks_within(lam, nu)
     return {
-        b[0]: {b2[0]: 2 * len(b2) for b2 in by_owner[owner[b[0]]] if b2 is not b}
+        b[0]: {b2[0]: 2 * len(b2) for b2 in groups[nu.index[b[0] - 1]] if b2 is not b}
         for b in lam.blocks
     }
 
@@ -137,10 +129,7 @@ def restriction_splits(lam: SetPartition, mu: SetPartition, nu: SetPartition) ->
     w_ln = _weights(lam, nu)
     w_lm = _weights(lam, mu)
     w_mn = _weights(mu, nu)
-    mu_rep = _owners(mu)
-    lam_by_mu: dict[int, list[tuple[int, ...]]] = {}
-    for b in lam.blocks:
-        lam_by_mu.setdefault(mu_rep[b[0]], []).append(b)
+    lam_by_mu = blocks_within(lam, mu)
 
     ok = True
     parts = {}
@@ -148,8 +137,9 @@ def restriction_splits(lam: SetPartition, mu: SetPartition, nu: SetPartition) ->
         rep = b[0]
         fine = w_lm[rep]
         pushed: dict[int, int] = {}
-        for mu_target in w_mn[mu_rep[rep]]:
-            for sub in lam_by_mu[mu_target]:
+        # w_mn is keyed by mu-block minima; mu.blocks[n][0] is block n's.
+        for mu_target in w_mn[mu.blocks[mu.index[rep - 1]][0]]:
+            for sub in lam_by_mu[mu.index[mu_target - 1]]:
                 pushed[sub[0]] = 2 * len(sub)
         parts[rep] = (fine, pushed)
         merged = dict(fine)

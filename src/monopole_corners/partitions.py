@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
@@ -30,9 +30,14 @@ CHAIN_LIMIT = 8
 
 
 class SetPartition:
-    """A partition of {1..k} into disjoint nonempty blocks."""
+    """A partition of {1..k} into disjoint nonempty blocks.
 
-    __slots__ = ("k", "blocks")
+    `index` is the restricted-growth word: `index[i - 1]` is the number of
+    the block that holds i, blocks numbered by their minimum.  It is the
+    one element-to-block map every reader of a partition uses.
+    """
+
+    __slots__ = ("blocks", "index")
 
     def __init__(self, k: int, blocks: Iterable[Iterable[int]]):
         if k < 1:
@@ -41,28 +46,56 @@ class SetPartition:
         if any(not b for b in raw):
             raise ValueError("empty block")
         blks = tuple(sorted(raw, key=lambda b: b[0]))
-        seen: set[int] = set()
-        for b in blks:
+        where: dict[int, int] = {}
+        for n, b in enumerate(blks):
             for i in b:
                 if not 1 <= i <= k:
                     raise ValueError(f"element {i} outside 1..{k}")
-                if i in seen:
+                if i in where:
                     raise ValueError(f"element {i} appears in two blocks")
-                seen.add(i)
-        if len(seen) != k:
+                where[i] = n
+        # k distinct elements in range cover {1..k} unless one is not an integer.
+        index = tuple(map(where.get, range(1, k + 1))) if len(where) == k else None
+        if index is None or None in index:
             raise ValueError("blocks do not cover {1..%d}" % k)
-        object.__setattr__(self, "k", k)
         object.__setattr__(self, "blocks", blks)
+        object.__setattr__(self, "index", index)
 
     @classmethod
-    def _canonical(cls, k: int, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
-        """Wrap blocks that are already canonical, without checking them:
-        ascending tuples, sorted by minimum, covering {1..k} disjointly.
-        Only for callers whose blocks are valid by construction."""
+    def _canonical(
+        cls, blocks: tuple[tuple[int, ...], ...], index: tuple[int, ...]
+    ) -> "SetPartition":
+        """Wrap blocks that are already canonical, and their restricted-growth
+        word, without checking them: ascending tuples, sorted by minimum,
+        covering {1..len(index)} disjointly.  Only for callers whose blocks
+        are valid by construction."""
         self = object.__new__(cls)
-        object.__setattr__(self, "k", k)
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "index", index)
         return self
+
+    @classmethod
+    def _from_word(cls, word: tuple[int, ...]) -> "SetPartition":
+        """The partition of a restricted-growth word, without checking it.
+        Restricted growth opens block n at its first element, after blocks
+        0..n-1, so first-appearance order is order by minimum."""
+        blocks: list[list[int]] = []
+        for i, n in enumerate(word, start=1):
+            if n == len(blocks):
+                blocks.append([i])
+            else:
+                blocks[n].append(i)
+        return cls._canonical(tuple(map(tuple, blocks)), word)
+
+    @classmethod
+    def _from_blocks(cls, k: int, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
+        """Wrap canonical blocks of {1..k} without checking them, numbering
+        each element by its block."""
+        index = [0] * k
+        for n, b in enumerate(blocks):
+            for i in b:
+                index[i - 1] = n
+        return cls._canonical(blocks, tuple(index))
 
     def __setattr__(self, name, value):
         raise AttributeError("SetPartition is immutable")
@@ -71,21 +104,25 @@ class SetPartition:
         return type(self), (self.k, self.blocks)
 
     @property
+    def k(self) -> int:
+        """Size of the ground set {1..k}."""
+        return len(self.index)
+
+    @property
     def rank(self) -> int:
         """Number of blocks, r(partition)."""
         return len(self.blocks)
 
     def block_index(self, i: int) -> int:
-        for n, b in enumerate(self.blocks):
-            if i in b:
-                return n
-        raise ValueError(f"element {i} outside 1..{self.k}")
+        if not 1 <= i <= len(self.index):
+            raise ValueError(f"element {i} outside 1..{self.k}")
+        return self.index[i - 1]
 
     def block_of(self, i: int) -> tuple[int, ...]:
         return self.blocks[self.block_index(i)]
 
     def is_singletons(self) -> bool:
-        return len(self.blocks) == self.k
+        return len(self.blocks) == len(self.index)
 
     def is_one_block(self) -> bool:
         return len(self.blocks) == 1
@@ -96,13 +133,7 @@ class SetPartition:
         Uses one character per element when all block indices are single
         digits, and a pipe-separated form otherwise.
         """
-        idx = [0] * self.k
-        for n, b in enumerate(self.blocks):
-            for i in b:
-                idx[i - 1] = n
-        if len(self.blocks) <= 10:
-            return "".join(str(n) for n in idx)
-        return "|".join(str(n) for n in idx)
+        return ("" if len(self.blocks) <= 10 else "|").join(map(str, self.index))
 
     @classmethod
     def from_rgs(cls, s: str, what: str = "restricted-growth string") -> "SetPartition":
@@ -110,21 +141,13 @@ class SetPartition:
         tokens = s.split("|") if "|" in s else list(s)
         if not tokens:
             raise ValueError(f"{what} is empty")
-        idx = [as_digits(t, what, 0) for t in tokens]
+        idx = tuple(as_digits(t, what, 0) for t in tokens)
         top = -1
         for n in idx:
             if n > top + 1:
                 raise ValueError(f"{what}: not a restricted-growth string: {s!r}")
             top = max(top, n)
-        # Restricted growth opens block n at its first element, after
-        # blocks 0..n-1, so first-appearance order is order by minimum.
-        blocks: list[list[int]] = []
-        for i, n in enumerate(idx, start=1):
-            if n == len(blocks):
-                blocks.append([i])
-            else:
-                blocks[n].append(i)
-        return cls._canonical(len(idx), tuple(map(tuple, blocks)))
+        return cls._from_word(idx)
 
     def to_json_dict(self) -> dict:
         return {"k": self.k, "blocks": [list(b) for b in self.blocks]}
@@ -140,14 +163,10 @@ class SetPartition:
         return cls(as_int(d.get("k"), "k", 1), blocks)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SetPartition)
-            and self.k == other.k
-            and self.blocks == other.blocks
-        )
+        return isinstance(other, SetPartition) and self.index == other.index
 
     def __hash__(self) -> int:
-        return hash((self.k, self.blocks))
+        return hash(self.index)
 
     def __str__(self) -> str:
         return "{" + ",".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks) + "}"
@@ -277,18 +296,22 @@ def iter_partitions(k: int) -> Iterator[SetPartition]:
         raise RangeLimitError(f"k must be in 1..{ENUMERATION_LIMIT}, got {k}")
     new = SetPartition._canonical
     # Element i joins each open block in turn, then opens a new one: the
-    # restricted-growth strings in lexicographic order.  Blocks stay
-    # ascending and in order of their minimum, so no output is re-checked.
+    # restricted-growth words in lexicographic order, kept in `word` next to
+    # the blocks.  Blocks stay ascending and in order of their minimum, so
+    # no output is re-checked.
     blocks: list[list[int]] = [[1]]
+    word = [0] * k
 
     def place(i: int) -> Iterator[SetPartition]:
         if i > k:
-            yield new(k, tuple(map(tuple, blocks)))
+            yield new(tuple(map(tuple, blocks)), tuple(word))
             return
-        for b in blocks:
+        for n, b in enumerate(blocks):
             b.append(i)
+            word[i - 1] = n
             yield from place(i + 1)
             b.pop()
+        word[i - 1] = len(blocks)
         blocks.append([i])
         yield from place(i + 1)
         blocks.pop()
@@ -297,14 +320,20 @@ def iter_partitions(k: int) -> Iterator[SetPartition]:
 
 
 def refines(lam: SetPartition, mu: SetPartition) -> bool:
-    """True iff every block of mu is a union of blocks of lam (lam is finer)."""
+    """True iff every block of mu is a union of blocks of lam (lam is finer):
+    each lam-block meets exactly one mu-block."""
     if lam.k != mu.k:
         raise ValueError("partitions have different ground sets")
-    owner = [0] * (lam.k + 1)
-    for n, b in enumerate(mu.blocks):
-        for i in b:
-            owner[i] = n
-    return all(len({owner[i] for i in b}) == 1 for b in lam.blocks)
+    return len(set(zip(lam.index, mu.index))) == len(lam.blocks)
+
+
+def blocks_within(lam: SetPartition, nu: SetPartition) -> list[list[tuple[int, ...]]]:
+    """The blocks of lam grouped by the block of a coarser nu that holds
+    them: entry n lists, in order, the lam-blocks inside nu-block n."""
+    groups: list[list[tuple[int, ...]]] = [[] for _ in nu.blocks]
+    for b in lam.blocks:
+        groups[nu.index[b[0] - 1]].append(b)
+    return groups
 
 
 def find_root(parent: list[int], x: int) -> int:
@@ -363,14 +392,11 @@ def meet(lam: SetPartition, mu: SetPartition) -> SetPartition:
     """Coarsest common refinement (pairwise block intersections)."""
     if lam.k != mu.k:
         raise ValueError("partitions have different ground sets")
-    blocks = []
-    for a in lam.blocks:
-        sa = set(a)
-        for b in mu.blocks:
-            inter = sa.intersection(b)
-            if inter:
-                blocks.append(inter)
-    return SetPartition(lam.k, blocks)
+    # Number each (lam-block, mu-block) pair at its first element.
+    seen: dict[tuple[int, int], int] = {}
+    return SetPartition._from_word(
+        tuple(seen.setdefault(pair, len(seen)) for pair in zip(lam.index, mu.index))
+    )
 
 
 def type_of(lam: SetPartition) -> IntegerPartition:
@@ -393,11 +419,7 @@ def orbit_canonical(lam: SetPartition) -> SetPartition:
     consecutive integers.
     """
     sizes = sorted((len(b) for b in lam.blocks), reverse=True)
-    blocks, start = [], 1
-    for s in sizes:
-        blocks.append(range(start, start + s))
-        start += s
-    return SetPartition(lam.k, blocks)
+    return SetPartition._from_word(tuple(n for n, s in enumerate(sizes) for _ in range(s)))
 
 
 def integer_partitions(k: int) -> list[IntegerPartition]:
@@ -528,31 +550,29 @@ def _chain_orbits_relative(
         forests = refined
     # Each realized block is an ascending run of one coarse block, and each
     # level strictly refines the next, so the flags are valid as built.
-    new_partition, new_flag = SetPartition._canonical, ChainFlag._canonical
+    new_partition, new_flag = SetPartition._from_blocks, ChainFlag._canonical
     out: list[ChainFlag] = []
     for forest in forests:
         level_blocks: list[list[tuple[int, ...]]] = [[] for _ in range(d)]
         for tower, members in zip(forest, blocks):
-            per_level = _realize_tower(tower, members, d)
-            for j in range(d):
-                level_blocks[j].extend(per_level[j])
+            _realize_tower(tower, members, level_blocks)
         out.append(new_flag(k, tuple(new_partition(k, tuple(sorted(lb))) for lb in level_blocks)))
-    # Atlas order: finest ranks descending, then block-size types, then RGS.
+    # Atlas order: finest ranks descending, then block-size types, then
+    # restricted-growth words (the order of the RGS strings up to 10 blocks).
     out.sort(key=lambda f: (
         [-p.rank for p in f.chain],
         [sorted(map(len, p.blocks)) for p in f.chain],
-        [p.to_rgs() for p in f.chain],
+        [p.index for p in f.chain],
     ))
     return out
 
 
-def _realize_tower(tower, elements: Sequence[int], depth: int) -> list[list[tuple[int, ...]]]:
-    """Assign `elements` to the tower's leaves; return blocks per chain level.
+def _realize_tower(tower, elements: Sequence[int], per_level: list[list[tuple[int, ...]]]) -> None:
+    """Assign `elements` to the leaves of a tower of depth len(per_level).
 
-    Result[j] holds the blocks of lam_{j+1} (element sets of the tower's
-    height-j nodes).
+    Appends to per_level[j] the blocks of lam_{j+1} inside this tower (the
+    element sets of the tower's height-j nodes).
     """
-    per_level: list[list[tuple[int, ...]]] = [[] for _ in range(depth)]
     pos = 0
 
     def walk(t, height: int) -> tuple[int, ...]:
@@ -568,15 +588,14 @@ def _realize_tower(tower, elements: Sequence[int], depth: int) -> list[list[tupl
             acc.extend(sub)
         return tuple(acc)
 
-    walk(tower, depth)
-    return per_level
+    walk(tower, len(per_level))
 
 
 def chains_mod_symmetric_group(k: int, d: int) -> list[ChainFlag]:
     """One representative per relabelling orbit of strict chains
     lam_1 < ... < lam_d of proper partitions of {1..k}, in the order of
     `faces.corner_atlas(k, d)`: finest ranks descending, then block-size
-    types, then restricted-growth strings."""
+    types, then restricted-growth words."""
     if not 1 <= k <= CHAIN_LIMIT:
         raise RangeLimitError(f"k must be in 1..{CHAIN_LIMIT}, got {k}")
     if not 1 <= d <= k - 1:
@@ -612,16 +631,17 @@ def symmetry_orders(lam: SetPartition) -> SymmetryOrders:
     Stab fixes every block pointwise up to internal shuffles, Sym permutes
     equal-size blocks, and the full symmetry group is their extension.
     """
-    stab = 1
-    for b in lam.blocks:
-        stab *= factorial(len(b))
-    counts: dict[int, int] = {}
-    for b in lam.blocks:
-        counts[len(b)] = counts.get(len(b), 0) + 1
-    sym = 1
-    for n in counts.values():
-        sym *= factorial(n)
+    stab = prod(factorial(len(b)) for b in lam.blocks)
+    sym = _multiplicity_factorials(len(b) for b in lam.blocks)
     return SymmetryOrders(stab * sym, stab, sym)
+
+
+def _multiplicity_factorials(items: Iterable) -> int:
+    """The product of m! over the multiplicities m of the items."""
+    counts: dict = {}
+    for x in items:
+        counts[x] = counts.get(x, 0) + 1
+    return prod(map(factorial, counts.values()))
 
 
 def flag_symmetry_orders(lam: SetPartition, nu: SetPartition) -> FlagSymmetryOrders:
@@ -640,18 +660,7 @@ def flag_symmetry_orders(lam: SetPartition, nu: SetPartition) -> FlagSymmetryOrd
         raise ValueError("need a strict flag: lam strictly finer than nu")
     if lam.k > CHAIN_LIMIT:
         raise RangeLimitError(f"flag symmetry orders capped at k <= {CHAIN_LIMIT}")
-    sym0 = 1
-    signatures: dict[tuple[int, ...], int] = {}
-    for c in nu.blocks:
-        cset = set(c)
-        sizes = tuple(sorted(len(b) for b in lam.blocks if b[0] in cset))
-        signatures[sizes] = signatures.get(sizes, 0) + 1
-        counts: dict[int, int] = {}
-        for s in sizes:
-            counts[s] = counts.get(s, 0) + 1
-        for n in counts.values():
-            sym0 *= factorial(n)
-    sym = sym0
-    for m in signatures.values():
-        sym *= factorial(m)
+    groups = blocks_within(lam, nu)
+    sym0 = _multiplicity_factorials((n, len(b)) for n, g in enumerate(groups) for b in g)
+    sym = sym0 * _multiplicity_factorials(tuple(sorted(map(len, g))) for g in groups)
     return FlagSymmetryOrders(sym0, sym)

@@ -375,7 +375,9 @@ def test_argv_reals_read_decimals_and_fractions(tmp_path, capsys):
     assert runs == [runs[0]] * 3
 
 
-@pytest.mark.parametrize("text", ["", "{", "[1,]", "\xff"])
+@pytest.mark.parametrize(
+    "text", ["", "{", "[1,]", "\xff", pytest.param("[" * 100_000, id="deep-array")]
+)
 def test_malformed_json_input_names_the_file(tmp_path, capsys, text):
     src = tmp_path / "bad.json"
     src.write_bytes(text.encode("latin-1"))

@@ -80,6 +80,37 @@ def test_invalid_partitions_rejected():
         SetPartition.from_rgs("021")
 
 
+@pytest.mark.parametrize("k, blocks, message", [
+    (0, [], "ground-set size must be positive, got 0"),
+    (3, [[1, 2], [3], []], "empty block"),
+    (3, [[1, 4]], "element 4 outside 1..3"),
+    (3, [[1, 2], [2, 3]], "element 2 appears in two blocks"),
+    (3, [[1, 2]], "blocks do not cover {1..3}"),
+    # blocks are read in order of their minimum, elements in ascending order
+    (3, [[5], [1], [1]], "element 1 appears in two blocks"),
+    (4, [[2, 9], [1, 1]], "element 1 appears in two blocks"),
+    (5, [[1, 1]], "element 1 appears in two blocks"),
+    (2, [[1.5], [2]], "blocks do not cover {1..2}"),
+    # a huge k is refused without allocating anything of size k
+    (10 ** 300, [[1]], "blocks do not cover {1..%d}" % 10 ** 300),
+])
+def test_checked_constructor_error_messages(k, blocks, message):
+    with pytest.raises(ValueError) as exc:
+        SetPartition(k, blocks)
+    assert str(exc.value) == message
+
+
+def test_block_index_keeps_its_range_check():
+    p = SetPartition(4, [[1, 3], [2], [4]])
+    assert [p.block_index(i) for i in range(1, 5)] == [0, 1, 0, 2]
+    assert p.block_of(3) == (1, 3)
+    for i in (0, -1, 5):
+        with pytest.raises(ValueError, match=f"element {i} outside 1..4"):
+            p.block_index(i)
+        with pytest.raises(ValueError, match=f"element {i} outside 1..4"):
+            p.block_of(i)
+
+
 def test_json_round_trip():
     p = SetPartition(5, [[1, 4], [2], [3, 5]])
     assert SetPartition.from_json_dict(p.to_json_dict()) == p
@@ -169,6 +200,37 @@ def test_lattice_laws_exhaustive():
                 assert P.meet(a, P.join(a, b)) == a
 
 
+def _pairs(p):
+    """Oracle: the set of pairs i < j that share a block of p."""
+    return {(i, j) for b in p.blocks for i in b for j in b if i < j}
+
+
+def _closure(k, pairs):
+    """Oracle: the pairs of the finest partition whose blocks contain every
+    given pair, merging the components of each pair's two elements."""
+    comp = {i: {i} for i in range(1, k + 1)}
+    for i, j in pairs:
+        if comp[i] is not comp[j]:
+            merged = comp[i] | comp[j]
+            for x in merged:
+                comp[x] = merged
+    return {(i, j) for i in comp for j in comp[i] if i < j}
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_lattice_operations_match_pair_oracle(k):
+    parts = P.all_partitions(k)
+    pairs = {p: _pairs(p) for p in parts}
+    for a in parts:
+        for b in parts:
+            assert P.refines(a, b) == (pairs[a] <= pairs[b])
+            m, j = P.meet(a, b), P.join(a, b)
+            assert _pairs(m) == pairs[a] & pairs[b]
+            assert _pairs(j) == _closure(k, pairs[a] | pairs[b])
+            _assert_canonical(m)
+            _assert_canonical(j)
+
+
 def test_type_of():
     assert P.type_of(P.singletons(3)) == IntegerPartition([1, 1, 1])
     assert P.type_of(SetPartition(3, [[1, 2], [3]])) == IntegerPartition([1, 2])
@@ -181,6 +243,7 @@ def test_orbit_canonical_invariance():
         parts = P.all_partitions(k)
         for p in random.Random(k).sample(parts, min(5, len(parts))):
             canon = P.orbit_canonical(p)
+            _assert_canonical(canon)
             assert P.orbit_canonical(canon) == canon
             assert P.type_of(canon) == P.type_of(p)
             for _ in range(5):
@@ -481,8 +544,14 @@ def _assert_canonical(p):
     assert type(p.blocks) is tuple and all(type(b) is tuple for b in p.blocks)
     assert all(list(b) == sorted(b) for b in p.blocks)
     assert [b[0] for b in p.blocks] == sorted(b[0] for b in p.blocks)
+    index = [None] * p.k
+    for n, b in enumerate(p.blocks):
+        for i in b:
+            index[i - 1] = n
+    assert type(p.index) is tuple and p.index == tuple(index)
     rebuilt = SetPartition(p.k, p.blocks)
     assert rebuilt == p and rebuilt.blocks == p.blocks and hash(rebuilt) == hash(p)
+    assert rebuilt.index == p.index
 
 
 @pytest.mark.parametrize("k", range(1, 9))
