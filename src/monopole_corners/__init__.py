@@ -19,7 +19,7 @@ _HOME = {
     **dict.fromkeys(("ChainError", "DegenerateInputError", "RangeLimitError"), "errors"),
     **dict.fromkeys(
         ("FaceDescriptor", "IbfReport", "corner_atlas", "cover_schedule", "hypersurface_atlas",
-         "intersection_components", "validate_ibf"),
+         "intersection_components", "iter_corner_atlas", "validate_ibf"),
         "faces"),
     **dict.fromkeys(
         ("ChernWeightSystem", "TorusGroupStructure", "restriction_splits", "sym_action",

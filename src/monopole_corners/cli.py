@@ -16,18 +16,25 @@ import argparse
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator
 
 from .inputs import as_digits, as_rational, as_real_text
 
 
-def _emit(text: str, path: str | None) -> None:
+def _stream(chunks: Iterable[str], path: str | None) -> None:
+    """Write output text as it is produced: to stdout followed by a
+    newline, or to the file at path as it is."""
     if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+
+
+def _emit(text: str, path: str | None) -> None:
+    _stream((text,), path)
 
 
 def _load_json(path: str) -> dict:
@@ -38,24 +45,46 @@ def _load_json(path: str) -> dict:
             raise ValueError(f"--input {path}: {exc}") from None
 
 
-def _format_faces(descs, fmt: str) -> str:
-    rows = [d.to_json_dict() for d in descs]
-    if fmt == "json":
-        return json.dumps(rows, indent=2)
+def _indented(value, pad: str) -> str:
+    """`value` as `json.dumps(value, indent=2)` writes it at indentation
+    `pad`, for values made of dicts, lists, strings and ints."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return str(value)
+    if not value:
+        return "[]" if type(value) is list else "{}"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if type(value) is dict:
+        body = sep.join(encode_basestring_ascii(key) + ": " + _indented(v, inner)
+                        for key, v in value.items())
+        return "{\n" + inner + body + "\n" + pad + "}"
+    return "[\n" + inner + sep.join(_indented(v, inner) for v in value) + "\n" + pad + "]"
+
+
+def _json_array(rows: Iterable) -> Iterator[str]:
+    """The chunks of `json.dumps(list(rows), indent=2)`, one per row."""
+    sep = "[\n  "
+    for row in rows:
+        yield sep + _indented(row, "  ")
+        sep = ",\n  "
+    yield "[]" if sep == "[\n  " else "\n]"
+
+
+def _table(rows: Iterable[dict]) -> Iterator[str]:
+    """The face table: a header, then one line per row."""
     header = f"{'chain':<24} {'codim':>5} {'total':>5} {'fiber':>5} {'bases':<12} types"
-    lines = [header, "-" * len(header)]
+    yield header + "\n" + "-" * len(header)
     for r in rows:
-        lines.append(
-            "{:<24} {:>5} {:>5} {:>5} {:<12} {}".format(
-                " < ".join(r["chain"]),
-                r["codim"],
-                r["total_dim"],
-                r["fiber_dim"],
-                "+".join(map(str, r["base_dims"])),
-                " ".join("(" + ",".join(map(str, t)) + ")" for t in r["types"]),
-            )
+        yield "\n{:<24} {:>5} {:>5} {:>5} {:<12} {}".format(
+            " < ".join(r["chain"]),
+            r["codim"],
+            r["total_dim"],
+            r["fiber_dim"],
+            "+".join(map(str, r["base_dims"])),
+            " ".join("(" + ",".join(map(str, t)) + ")" for t in r["types"]),
         )
-    return "\n".join(lines)
 
 
 def _cmd_faces(args) -> int:
@@ -63,12 +92,11 @@ def _cmd_faces(args) -> int:
     from .partitions import SetPartition
 
     k = as_digits(args.k, "--k", 0)
-    nu = SetPartition.from_rgs(args.nu, "--nu") if args.nu else None
-    if args.codim is None:
-        descs = faces.hypersurface_atlas(k, nu=nu)
-    else:
-        descs = faces.corner_atlas(k, as_digits(args.codim, "--codim", 0), nu=nu)
-    _emit(_format_faces(descs, args.format), args.output)
+    nu = SetPartition.from_rgs(args.nu, "--nu") if args.nu is not None else None
+    # The hypersurfaces are the codimension-1 corners.
+    d = 1 if args.codim is None else as_digits(args.codim, "--codim", 0)
+    rows = (desc.to_json_dict() for desc in faces.iter_corner_atlas(k, d, nu))
+    _stream(_json_array(rows) if args.format == "json" else _table(rows), args.output)
     return 0
 
 

@@ -16,6 +16,7 @@ nu-block.  The absolute atlas is the case nu = one block.
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
 from ._record import Record
 from .errors import RangeLimitError
@@ -106,13 +107,13 @@ def _descriptor_from_chain(k: int, flag: ChainFlag, nu: SetPartition,
     )
 
 
-def corner_atlas(k: int, d: int, nu: SetPartition | None = None) -> list[FaceDescriptor]:
-    """One descriptor per codimension-d corner of the charge-k atlas.
-
-    With ``nu`` given, enumerates the corners of the relative atlas instead.
-    Faces come in the order of `partitions.chains_mod_symmetric_group`.
-    Returns the empty list when d exceeds the longest possible chain.
-    """
+def iter_corner_atlas(
+    k: int, d: int, nu: SetPartition | None = None
+) -> Iterator[FaceDescriptor]:
+    """The descriptors of :func:`corner_atlas`, in the same order, yielded
+    one (ranks, types) group at a time, so that only the current group's
+    chains are held.  The arguments are checked when this is called, before
+    the first descriptor is asked for."""
     _check_k(k)
     if d < 1:
         raise RangeLimitError(f"codimension must be positive, got {d}")
@@ -121,11 +122,21 @@ def corner_atlas(k: int, d: int, nu: SetPartition | None = None) -> list[FaceDes
     elif nu.k != k:
         raise ValueError("nu is not a partition of {1..%d}" % k)
     if d > k - nu.rank:
-        return []
-    flags = _chain_orbits_relative(k, d, nu.blocks, nu.rank)
+        return iter(())
     # Each level's type is an integer partition of k: one shared object per type.
     types = {t.parts: t for t in integer_partitions(k)}
-    return [_descriptor_from_chain(k, flag, nu, types) for flag in flags]
+    return (_descriptor_from_chain(k, flag, nu, types)
+            for flag in _chain_orbits_relative(k, d, nu.blocks, nu.rank))
+
+
+def corner_atlas(k: int, d: int, nu: SetPartition | None = None) -> list[FaceDescriptor]:
+    """One descriptor per codimension-d corner of the charge-k atlas.
+
+    With ``nu`` given, enumerates the corners of the relative atlas instead.
+    Faces come in the order of `partitions.chains_mod_symmetric_group`.
+    Returns the empty list when d exceeds the longest possible chain.
+    """
+    return list(iter_corner_atlas(k, d, nu))
 
 
 def hypersurface_atlas(k: int, nu: SetPartition | None = None) -> list[FaceDescriptor]:

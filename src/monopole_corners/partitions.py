@@ -531,11 +531,40 @@ def _tower_refinements(tower, memo: dict) -> Sequence[tuple]:
 
 def _chain_orbits_relative(
     k: int, d: int, blocks: tuple[tuple[int, ...], ...], coarse_rank: int
-) -> list[ChainFlag]:
+) -> Iterator[ChainFlag]:
     """Orbit representatives of strict chains lam_1 < ... < lam_d finer than
     the partition with the given blocks, under permutations fixing each
-    block.  The absolute case is a single block with coarse_rank 1.
+    block, in atlas order.  The absolute case is a single block with
+    coarse_rank 1.
+
+    Atlas order is finest ranks descending, then block-size types, then
+    restricted-growth words (the order of the RGS strings up to 10 blocks).
+    A forest fixes the ranks and types of its chain, so the flags are
+    realized and yielded one (ranks, types) group at a time.
     """
+    groups: dict[tuple, list[tuple]] = {}
+    for forest in _level_forests(k, d, blocks, coarse_rank):
+        groups.setdefault(_forest_shape(forest, d), []).append(forest)
+    # Each realized block is an ascending run of one coarse block, and each
+    # level strictly refines the next, so the flags are valid as built.
+    new_partition, new_flag = SetPartition._from_blocks, ChainFlag._canonical
+    for shape in sorted(groups):
+        flags = []
+        for forest in groups.pop(shape):
+            level_blocks: list[list[tuple[int, ...]]] = [[] for _ in range(d)]
+            for tower, members in zip(forest, blocks):
+                _realize_tower(tower, members, level_blocks)
+            chain = tuple(new_partition(k, tuple(sorted(lb))) for lb in level_blocks)
+            flags.append(new_flag(k, chain))
+        flags.sort(key=lambda f: [p.index for p in f.chain])
+        yield from flags
+
+
+def _level_forests(
+    k: int, d: int, blocks: tuple[tuple[int, ...], ...], coarse_rank: int
+) -> dict[tuple, int]:
+    """The level-d forests below the given coarse blocks: one tower per
+    block, each orbit once, mapped to the rank of their finest level."""
     memo: dict = {n: _leaf_refinements(n) for n in range(1, max(len(b) for b in blocks) + 1)}
     # Each forest maps to the rank of its finest level so far.
     forests = {tuple(len(b) for b in blocks): coarse_rank}
@@ -548,23 +577,30 @@ def _chain_orbits_relative(
                 if rank < n <= cap:
                     refined[tuple(t for t, _ in combo)] = n
         forests = refined
-    # Each realized block is an ascending run of one coarse block, and each
-    # level strictly refines the next, so the flags are valid as built.
-    new_partition, new_flag = SetPartition._from_blocks, ChainFlag._canonical
-    out: list[ChainFlag] = []
-    for forest in forests:
-        level_blocks: list[list[tuple[int, ...]]] = [[] for _ in range(d)]
-        for tower, members in zip(forest, blocks):
-            _realize_tower(tower, members, level_blocks)
-        out.append(new_flag(k, tuple(new_partition(k, tuple(sorted(lb))) for lb in level_blocks)))
-    # Atlas order: finest ranks descending, then block-size types, then
-    # restricted-growth words (the order of the RGS strings up to 10 blocks).
-    out.sort(key=lambda f: (
-        [-p.rank for p in f.chain],
-        [sorted(map(len, p.blocks)) for p in f.chain],
-        [p.index for p in f.chain],
-    ))
-    return out
+    return forests
+
+
+def _forest_shape(forest: tuple, d: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The atlas-order key of a forest's chain, read off its node sizes:
+    the negated rank of each level, finest first, then each level's block
+    sizes in ascending order."""
+    sizes: list[list[int]] = [[] for _ in range(d)]
+    for tower in forest:
+        _tower_sizes(tower, d, sizes)
+    return tuple(-len(s) for s in sizes), tuple(tuple(sorted(s)) for s in sizes)
+
+
+def _tower_sizes(tower, height: int, per_level: list[list[int]]) -> int:
+    """Append to per_level[j] the sizes of the tower's height-j nodes (the
+    blocks of lam_{j+1} inside it), and return the tower's size."""
+    if height == 0:
+        return tower
+    total = 0
+    for child in tower:
+        n = _tower_sizes(child, height - 1, per_level)
+        per_level[height - 1].append(n)
+        total += n
+    return total
 
 
 def _realize_tower(tower, elements: Sequence[int], per_level: list[list[tuple[int, ...]]]) -> None:
@@ -600,7 +636,7 @@ def chains_mod_symmetric_group(k: int, d: int) -> list[ChainFlag]:
         raise RangeLimitError(f"k must be in 1..{CHAIN_LIMIT}, got {k}")
     if not 1 <= d <= k - 1:
         raise RangeLimitError(f"d must be in 1..{k - 1}, got {d}")
-    return _chain_orbits_relative(k, d, (tuple(range(1, k + 1)),), 1)
+    return list(_chain_orbits_relative(k, d, (tuple(range(1, k + 1)),), 1))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import pytest
 
 from monopole_corners import ratmaps
 from monopole_corners.cli import main
+from monopole_corners.faces import corner_atlas
+from monopole_corners.partitions import SetPartition
 
 
 def run_cli(capsys, *argv):
@@ -430,3 +432,77 @@ def test_atlas_json_round_trips_through_schema(capsys):
         chain = [SetPartition.from_rgs(s) for s in row["chain"]]
         assert [len(b) for b in chain[0].blocks] != []
         assert row["fiber_dim"] + sum(row["base_dims"]) == row["total_dim"]
+
+
+def test_faces_empty_nu_is_refused(capsys):
+    assert_one_line_error(*run_cli(capsys, "faces", "--k", "3", "--nu", ""), "--nu is empty")
+
+
+# ---------------------------------------------------------------------------
+# `faces` streams its rows; the bytes are those of the whole-list encoders.
+# ---------------------------------------------------------------------------
+
+#: Relative atlases below 4+4, 3+3+2 and 2+2+2+2, with interleaved labels.
+INTERLEAVED_NU = ("01010101", "01201201", "01230123")
+
+
+def faces_commands(k, nu=None):
+    """(argv, corner_atlas arguments) for the hypersurface form and every
+    codim of one atlas, the empty codims included."""
+    extra = ["--nu", nu] if nu else []
+    nu_part = SetPartition.from_rgs(nu) if nu else None
+    yield ["faces", "--k", str(k), *extra], (k, 1, nu_part)
+    for d in range(1, k + 1):
+        yield ["faces", "--k", str(k), "--codim", str(d), *extra], (k, d, nu_part)
+
+
+def assert_streams_like_the_stdlib_encoder(capsys, tmp_path, argv, atlas_args):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    expected = json.dumps([d.to_json_dict() for d in corner_atlas(*atlas_args)], indent=2)
+    assert (code, out, err) == (0, expected + "\n", "")
+    for fmt in ("json", "table"):
+        code, shown, _ = run_cli(capsys, *argv, "--format", fmt)
+        dest = tmp_path / f"faces.{fmt}"
+        assert run_cli(capsys, *argv, "--format", fmt, "--output", str(dest)) == (0, "", "")
+        assert code == 0 and dest.read_text() + "\n" == shown
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_faces_json_is_the_stdlib_encoding(capsys, tmp_path, k):
+    for argv, atlas_args in faces_commands(k):
+        assert_streams_like_the_stdlib_encoder(capsys, tmp_path, argv, atlas_args)
+
+
+@pytest.mark.parametrize("nu", INTERLEAVED_NU)
+def test_relative_faces_json_is_the_stdlib_encoding(capsys, tmp_path, nu):
+    for argv, atlas_args in faces_commands(len(nu), nu):
+        assert_streams_like_the_stdlib_encoder(capsys, tmp_path, argv, atlas_args)
+
+
+def test_faces_without_faces_prints_an_empty_array_and_a_bare_table(capsys):
+    code, out, _ = run_cli(capsys, "faces", "--k", "4", "--codim", "4", "--format", "json")
+    assert (code, out) == (0, "[]\n")
+    code, out, _ = run_cli(capsys, "faces", "--k", "4", "--codim", "4")
+    assert code == 0 and out.count("\n") == 2 and out.endswith("-\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--k", "1"],
+        ["--k", "9"],
+        ["--k", "x"],
+        ["--k", "4", "--codim", "0"],
+        ["--k", "4", "--codim", "0_1"],
+        ["--k", "4", "--nu", ""],
+        ["--k", "4", "--nu", "0|1|"],
+        ["--k", "4", "--nu", "001"],
+    ],
+    ids=" ".join,
+)
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_bad_faces_input_writes_no_file(capsys, tmp_path, argv, fmt):
+    dest = tmp_path / "faces.out"
+    code, out, err = run_cli(capsys, "faces", *argv, "--format", fmt, "--output", str(dest))
+    assert_one_line_error(code, out, err)
+    assert not dest.exists()

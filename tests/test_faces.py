@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -319,3 +323,56 @@ def test_descriptor_json_shape():
     nu = SetPartition(4, [[1, 2], [3, 4]])
     rel = F.hypersurface_atlas(4, nu=nu)[0].to_json_dict()
     assert rel["nu"] == nu.to_rgs()
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_iter_corner_atlas_yields_the_atlas(k):
+    shapes = [None] + [SetPartition.from_rgs(s) for s in ("01010101", "01201201", "01230123")
+                       if len(s) == k]
+    for nu in shapes:
+        for d in range(1, k + 1):
+            assert list(F.iter_corner_atlas(k, d, nu)) == F.corner_atlas(k, d, nu)
+
+
+@pytest.mark.parametrize(
+    "args,error",
+    [
+        ((1, 1), RangeLimitError),
+        ((9, 1), RangeLimitError),
+        ((4, 0), RangeLimitError),
+        ((4, 1, SetPartition(3, [[1, 2], [3]])), ValueError),
+    ],
+)
+def test_iter_corner_atlas_checks_its_arguments_when_called(args, error):
+    with pytest.raises(error):
+        F.iter_corner_atlas(*args)
+
+
+MEMORY_PROBE = """
+import sys, tracemalloc
+from monopole_corners import cli, faces
+tracemalloc.start()
+if sys.argv[1] == "list":
+    atlas = faces.corner_atlas(8, 5)
+else:
+    rows = (d.to_json_dict() for d in faces.iter_corner_atlas(8, 5))
+    for chunk in cli._json_array(rows):
+        pass
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_streamed_atlas_peaks_at_most_half_the_list():
+    """Draining the k = 8, codim-5 atlas and formatting each face as JSON
+    holds one (ranks, types) group at a time, so it peaks at most half as
+    high as building the list of its 1877 descriptors.  Each side runs in a
+    fresh interpreter, after the imports, so neither inherits the other's
+    caches."""
+    src = str(Path(F.__file__).resolve().parents[1])
+    peaks = {}
+    for mode in ("list", "stream"):
+        proc = subprocess.run([sys.executable, "-c", MEMORY_PROBE, mode], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        peaks[mode] = int(proc.stdout)
+    assert peaks["stream"] <= peaks["list"] / 2, peaks

@@ -24,7 +24,7 @@ PUBLIC = {
                 "types_comparable",
     "errors": "ChainError DegenerateInputError RangeLimitError",
     "faces": "FaceDescriptor IbfReport corner_atlas cover_schedule hypersurface_atlas "
-             "intersection_components validate_ibf",
+             "intersection_components iter_corner_atlas validate_ibf",
     "gibbons_manton": "ChernWeightSystem TorusGroupStructure restriction_splits sym_action "
                       "torus_group_structure weight_system",
     "manybody": "ManyBodyFace ManyBodyStructure comparable diagonal_structure face_of_chain "
