@@ -4,7 +4,9 @@ Subcommands: faces, cluster, chain, coords, resultant, gm, torus-group,
 validate-ibf, cover-schedule.  All flags are explicit, no environment
 variables are consulted, and identical inputs produce byte-identical
 output.  Malformed or out-of-range input exits with status 2 and a message
-on stderr; validate-ibf exits 1 when violations were found.
+on stderr; validate-ibf exits 1 when violations were found, and a stdout
+closed by its reader ends the run with status 141 (128 + SIGPIPE) and
+nothing on stderr.
 
 Each subcommand imports the library modules it uses when it runs, so a
 process loads only the code of its own command.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
@@ -323,7 +326,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early (the flush above brings that to
+        # light here even for output that fit the buffer), which is not bad
+        # input.  With stdout on devnull the flush at shutdown writes nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process it killed
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

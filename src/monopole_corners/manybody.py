@@ -8,7 +8,9 @@ everything exact.  The meet function is a lookup in a hand-built or JSON
 table, or is computed on demand.  The one concrete constructor builds the
 family of diagonals of E^k modulo the total diagonal, the reduced
 configuration space of k points in R^m, whose meets are partition joins
-computed when asked for, so no Bell(k)^2 table is ever stored.
+computed when asked for: each merges the other partition's blocks in one at
+a time through a memo of block merges keyed by (partition id, block mask),
+at most Bell(k)*(2^k - k - 1) entries, so no Bell(k)^2 table is ever stored.
 """
 
 from __future__ import annotations
@@ -182,22 +184,59 @@ def diagonal_structure(k: int, m: int) -> ManyBodyStructure:
 
     The subspace attached to a partition has dimension m*(r-1) where r is
     its number of blocks; intersecting two diagonals corresponds to joining
-    the partitions, which is done on block bitmasks each time a meet is
-    asked for.
+    the partitions.  Each partition has an integer id and a canonical key,
+    the sorted tuple of its block bitmasks.  The meet of a and b starts at
+    a's id and merges in b's non-singleton blocks one at a time; each step
+    reads a flat memo `merged[id * 2**k + mask]` (-1: not yet computed), and
+    a miss does one block merge and one key lookup.  The memo holds at most
+    Bell(k)*(2^k - k - 1) entries (877 * 120 at k = 7), never a Bell(k)^2
+    table, and construction computes no merge.
     """
     if k < 2:
         raise ValueError(f"need at least two points, got k={k}")
     if m < 1:
         raise ValueError(f"need positive euclidean dimension, got m={m}")
-    masks = {p.to_rgs(): partitions.block_masks(p) for p in partitions.all_partitions(k)}
-    label_of = {frozenset(m): label for label, m in masks.items()}
-    dims = {label: m * (len(blocks) - 1) for label, blocks in masks.items()}
-    join_masks = partitions.join_masks
+    labels = []
+    keys = []
+    dims = {}
+    id_of_label = {}
+    blocks_of = {}
+    for i, p in enumerate(partitions.all_partitions(k)):
+        label = p.to_rgs()
+        masks = partitions.block_masks(p)
+        labels.append(label)
+        keys.append(tuple(sorted(masks)))
+        dims[label] = m * (len(masks) - 1)
+        id_of_label[label] = i
+        blocks_of[label] = [mb for mb in masks if mb & (mb - 1)]
+    id_of = {key: i for i, key in enumerate(keys)}
+    merged = [-1] * (len(keys) << k)
 
     def meet(a: str, b: str) -> str:
-        return label_of[join_masks(masks[a], masks[b])]
+        i = id_of_label[a]
+        for mb in blocks_of[b]:
+            slot = i << k | mb
+            j = merged[slot]
+            if j < 0:
+                j = merged[slot] = id_of[_merge_block(keys[i], mb)]
+            i = j
+        return labels[i]
 
     return ManyBodyStructure(m * (k - 1), dims, meet)
+
+
+def _merge_block(key: tuple[int, ...], mb: int) -> tuple[int, ...]:
+    """The canonical key after merging the blocks of `key` that meet the
+    bitmask mb into one block."""
+    rest = []
+    for x in key:
+        if x & mb:
+            mb |= x
+        else:
+            rest.append(x)
+    rest.append(mb)
+    rest.sort()
+    return tuple(rest)
 
 
 def validate(ws: ManyBodyStructure) -> list[str]:

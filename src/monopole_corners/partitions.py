@@ -138,15 +138,19 @@ class SetPartition:
     @classmethod
     def from_rgs(cls, s: str, what: str = "restricted-growth string") -> "SetPartition":
         """Inverse of :meth:`to_rgs`; `what` names the field in errors."""
-        tokens = s.split("|") if "|" in s else list(s)
-        if not tokens:
-            raise ValueError(f"{what} is empty")
-        idx = tuple(as_digits(t, what, 0) for t in tokens)
+        if s.isascii() and s.isdigit():
+            idx = tuple(map(int, s))
+        else:
+            tokens = s.split("|") if "|" in s else list(s)
+            if not tokens:
+                raise ValueError(f"{what} is empty")
+            idx = tuple(as_digits(t, what, 0) for t in tokens)
         top = -1
         for n in idx:
-            if n > top + 1:
-                raise ValueError(f"{what}: not a restricted-growth string: {s!r}")
-            top = max(top, n)
+            if n > top:
+                if n > top + 1:
+                    raise ValueError(f"{what}: not a restricted-growth string: {s!r}")
+                top = n
         return cls._from_word(idx)
 
     def to_json_dict(self) -> dict:

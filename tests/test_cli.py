@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import monopole_corners
 from monopole_corners import ratmaps
 from monopole_corners.cli import main
 from monopole_corners.faces import corner_atlas
 from monopole_corners.partitions import SetPartition
+
+SRC = str(Path(monopole_corners.__file__).resolve().parents[1])
 
 
 def run_cli(capsys, *argv):
@@ -506,3 +513,22 @@ def test_bad_faces_input_writes_no_file(capsys, tmp_path, argv, fmt):
     code, out, err = run_cli(capsys, "faces", *argv, "--format", fmt, "--output", str(dest))
     assert_one_line_error(code, out, err)
     assert not dest.exists()
+
+
+def test_closed_stdout_exits_141_and_writes_no_error():
+    env = {**os.environ, "PYTHONPATH": SRC}
+    argv = [sys.executable, "-m", "monopole_corners.cli",
+            "faces", "--k", "8", "--codim", "5", "--format", "json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert len(head) == 100 and head.startswith(b"[\n  {")
+    assert err == b""
+
+
+def test_unwritable_output_is_one_line_error(capsys, tmp_path):
+    dest = tmp_path / "missing" / "faces.json"
+    code, out, err = run_cli(capsys, "faces", "--k", "3", "--output", str(dest))
+    assert_one_line_error(code, out, err)

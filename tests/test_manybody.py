@@ -1,13 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations, product
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import monopole_corners
 from monopole_corners import manybody as MB
 from monopole_corners import partitions as P
 from monopole_corners.errors import ChainError
 from monopole_corners.partitions import SetPartition
+
+SRC = str(Path(monopole_corners.__file__).resolve().parents[1])
 
 
 def test_diagonal_structure_k2():
@@ -145,17 +152,66 @@ def test_validate_flags_a_bad_computed_meet():
 
 def test_diagonal_meets_are_computed_on_demand(monkeypatch):
     calls = []
-    kernel = P.join_masks
+    kernel = MB._merge_block
 
-    def counting(a, b):
-        calls.append(1)
-        return kernel(a, b)
+    def counting(key, mask):
+        calls.append(mask)
+        return kernel(key, mask)
 
-    monkeypatch.setattr(P, "join_masks", counting)
+    monkeypatch.setattr(MB, "_merge_block", counting)
     ws = MB.diagonal_structure(7, 3)
     assert calls == []
+    # b = {1,2,5,6}{3,4,7}: at most one merge per non-singleton block of b
     assert ws.meet("0101010", "0011001") == "0000000"
-    assert calls == [1]
+    assert 1 <= len(calls) <= 2 and set(calls) <= {0b0110011, 0b1001100}
+    first = list(calls)
+    assert ws.meet("0101010", "0011001") == "0000000"
+    assert calls == first
+
+
+def _join_oracle(a: str, b: str) -> str:
+    """The join of two RGS labels by transitive closure of "same block in
+    a or in b", numbered by first appearance."""
+    k = len(a)
+    reach = [{j for j in range(k) if a[i] == a[j] or b[i] == b[j]} for i in range(k)]
+    grown = True
+    while grown:
+        grown = False
+        for s in reach:
+            closure = set().union(*(reach[j] for j in s))
+            if closure != s:
+                s |= closure
+                grown = True
+    names: dict[int, int] = {}
+    return "".join(str(names.setdefault(min(reach[i]), len(names))) for i in range(k))
+
+
+def test_diagonal_meet_equals_closure_oracle():
+    for k in range(2, 7):
+        ws = MB.diagonal_structure(k, 1)
+        for a, b in product(ws.labels, repeat=2):
+            assert ws.meet(a, b) == _join_oracle(a, b), (a, b)
+    ws = MB.diagonal_structure(7, 3)
+    rng = Random(1307)
+    labels = ws.labels
+    for _ in range(5000):
+        a, b = rng.choice(labels), rng.choice(labels)
+        want = _join_oracle(a, b)
+        assert ws.meet(a, b) == want and ws.meet(b, a) == want, (a, b)
+
+
+def test_diagonal_validate_peak_memory():
+    # The memo of block merges stays near Bell(7) * 2^7 slots; a Bell(k)^2
+    # meet table would take tens of MB.
+    probe = ("import tracemalloc\n"
+             "from monopole_corners import manybody as MB\n"
+             "tracemalloc.start()\n"
+             "assert MB.validate(MB.diagonal_structure(7, 3)) == []\n"
+             "print(tracemalloc.get_traced_memory()[1])\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 8_000_000
 
 
 def test_containment_matches_refinement_exhaustively():

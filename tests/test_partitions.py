@@ -583,9 +583,11 @@ def _checked_from_word(word):
 def test_from_rgs_equals_checked_construction(k):
     for word in _all_rgs(k):
         want = _checked_from_word(word)
+        # The digit string takes the whole-string path, the piped one is
+        # read token by token.
         for text in ("".join(map(str, word)), "|".join(map(str, word))):
             got = SetPartition.from_rgs(text)
-            assert got == want and got.blocks == want.blocks
+            assert got == want and got.blocks == want.blocks and got.index == word
             _assert_canonical(got)
     wide = tuple(range(12))
     assert SetPartition.from_rgs("|".join(map(str, wide))) == _checked_from_word(wide)
