@@ -92,6 +92,9 @@ class Configuration:
 
 
 def _require_distinct(points: Sequence[Point]) -> None:
+    if len(set(points)) == len(points):
+        return
+    # Some pair coincides: scan in order to name the first one.
     for (i, p), (j, q) in itertools.combinations(enumerate(points), 2):
         if p == q:
             raise DegenerateInputError(f"points {i + 1} and {j + 1} coincide")

@@ -88,25 +88,6 @@ def _check_k(k: int) -> None:
         raise RangeLimitError(f"k must be in {ATLAS_K_MIN}..{ATLAS_K_MAX}, got {k}")
 
 
-def _descriptor_from_chain(k: int, flag: ChainFlag, nu: SetPartition,
-                           types: dict[tuple[int, ...], IntegerPartition]) -> FaceDescriptor:
-    d = len(flag)
-    ranks = [p.rank for p in flag.chain] + [nu.rank]
-    fiber = 4 * k - 3 * ranks[0]
-    bases = tuple(3 * (ranks[i] - ranks[i + 1]) - 1 for i in range(d))
-    total = fiber + sum(bases)
-    return FaceDescriptor(
-        k=k,
-        chain=flag,
-        nu=nu,
-        codim=d,
-        total_dim=total,
-        fiber_dim=fiber,
-        base_dims=bases,
-        integer_types=tuple(types[tuple(sorted(map(len, p.blocks)))] for p in flag.chain),
-    )
-
-
 def iter_corner_atlas(
     k: int, d: int, nu: SetPartition | None = None
 ) -> Iterator[FaceDescriptor]:
@@ -123,10 +104,22 @@ def iter_corner_atlas(
         raise ValueError("nu is not a partition of {1..%d}" % k)
     if d > k - nu.rank:
         return iter(())
-    # Each level's type is an integer partition of k: one shared object per type.
-    types = {t.parts: t for t in integer_partitions(k)}
-    return (_descriptor_from_chain(k, flag, nu, types)
-            for flag in _chain_orbits_relative(k, d, nu.blocks, nu.rank))
+    return _atlas_descriptors(k, d, nu)
+
+
+def _atlas_descriptors(k: int, d: int, nu: SetPartition) -> Iterator[FaceDescriptor]:
+    # A face's dimensions and types depend only on its group's types, whose
+    # lengths are the ranks of the chain levels; each level's type is an
+    # integer partition of k, one shared object per type.
+    by_parts = {t.parts: t for t in integer_partitions(k)}
+    for types, flags in _chain_orbits_relative(k, d, nu.blocks, nu.rank):
+        ranks = [*map(len, types), nu.rank]
+        fiber = 4 * k - 3 * ranks[0]
+        bases = tuple(3 * (ranks[i] - ranks[i + 1]) - 1 for i in range(d))
+        total = fiber + sum(bases)
+        integer_types = tuple(by_parts[t] for t in types)
+        for flag in flags:
+            yield FaceDescriptor(k, flag, nu, d, total, fiber, bases, integer_types)
 
 
 def corner_atlas(k: int, d: int, nu: SetPartition | None = None) -> list[FaceDescriptor]:
@@ -204,6 +197,9 @@ def validate_ibf(
         corners = corner_atlas(k, 2)
     violations: list[str] = []
     by_type = {h.integer_types[0]: h for h in hypersurfaces}
+    corners_by_types: dict[tuple, list[FaceDescriptor]] = {}
+    for c in corners:
+        corners_by_types.setdefault(c.integer_types, []).append(c)
     edges = []
     for a, b in itertools.combinations(sorted(by_type, key=lambda t: t.parts), 2):
         if refines_integer_partition(b, a):
@@ -218,7 +214,7 @@ def validate_ibf(
             violations.append(f"fiber-dim order disagrees with refinement for {a} < {b}")
         if not ha.base_dims[0] > hb.base_dims[0]:
             violations.append(f"base-dim order disagrees with refinement for {a} < {b}")
-        pair_corners = [c for c in corners if c.integer_types == (a, b)]
+        pair_corners = corners_by_types.get((a, b), [])
         if not pair_corners:
             violations.append(f"no codim-2 corner for comparable pair {a} < {b}")
         for c in pair_corners:

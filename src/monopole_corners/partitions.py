@@ -535,33 +535,50 @@ def _tower_refinements(tower, memo: dict) -> Sequence[tuple]:
 
 def _chain_orbits_relative(
     k: int, d: int, blocks: tuple[tuple[int, ...], ...], coarse_rank: int
-) -> Iterator[ChainFlag]:
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], list[ChainFlag]]]:
     """Orbit representatives of strict chains lam_1 < ... < lam_d finer than
     the partition with the given blocks, under permutations fixing each
     block, in atlas order.  The absolute case is a single block with
     coarse_rank 1.
 
-    Atlas order is finest ranks descending, then block-size types, then
-    restricted-growth words (the order of the RGS strings up to 10 blocks).
-    A forest fixes the ranks and types of its chain, so the flags are
-    realized and yielded one (ranks, types) group at a time.
+    Yields one (types, flags) pair per group of chains that share their
+    levels' block-size types: types[j] is the ascending tuple of block
+    sizes of lam_{j+1}, so its length is that level's rank.  Atlas order is
+    finest ranks descending, then types, then restricted-growth words (the
+    order of the RGS strings up to 10 blocks).
     """
     groups: dict[tuple, list[tuple]] = {}
+    # Many keys share a level's type: keep one tuple per type.
+    interned: dict[tuple[int, ...], tuple[int, ...]] = {}
     for forest in _level_forests(k, d, blocks, coarse_rank):
-        groups.setdefault(_forest_shape(forest, d), []).append(forest)
-    # Each realized block is an ascending run of one coarse block, and each
-    # level strictly refines the next, so the flags are valid as built.
+        sizes: list[list[int]] = [[] for _ in range(d)]
+        for tower in forest:
+            _level_sizes(tower, d, sizes)
+        types = tuple(interned.setdefault(t, t) for t in map(tuple, map(sorted, sizes)))
+        groups.setdefault(types, []).append(forest)
+    # Node sizes come out in leaf order, so each node holds a consecutive run
+    # of the coarse blocks' members laid end to end; runs never cross a
+    # coarse block and each level strictly refines the next, so the flags
+    # are valid as built.
+    elements = [i for b in blocks for i in b]
     new_partition, new_flag = SetPartition._from_blocks, ChainFlag._canonical
-    for shape in sorted(groups):
+    for types in sorted(groups, key=lambda ts: (tuple(-len(t) for t in ts), ts)):
         flags = []
-        for forest in groups.pop(shape):
-            level_blocks: list[list[tuple[int, ...]]] = [[] for _ in range(d)]
-            for tower, members in zip(forest, blocks):
-                _realize_tower(tower, members, level_blocks)
-            chain = tuple(new_partition(k, tuple(sorted(lb))) for lb in level_blocks)
-            flags.append(new_flag(k, chain))
+        for forest in groups.pop(types):
+            sizes = [[] for _ in range(d)]
+            for tower in forest:
+                _level_sizes(tower, d, sizes)
+            chain = []
+            for level in sizes:
+                runs, pos = [], 0
+                for n in level:
+                    runs.append(tuple(elements[pos : pos + n]))
+                    pos += n
+                runs.sort()
+                chain.append(new_partition(k, tuple(runs)))
+            flags.append(new_flag(k, tuple(chain)))
         flags.sort(key=lambda f: [p.index for p in f.chain])
-        yield from flags
+        yield types, flags
 
 
 def _level_forests(
@@ -584,51 +601,18 @@ def _level_forests(
     return forests
 
 
-def _forest_shape(forest: tuple, d: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The atlas-order key of a forest's chain, read off its node sizes:
-    the negated rank of each level, finest first, then each level's block
-    sizes in ascending order."""
-    sizes: list[list[int]] = [[] for _ in range(d)]
-    for tower in forest:
-        _tower_sizes(tower, d, sizes)
-    return tuple(-len(s) for s in sizes), tuple(tuple(sorted(s)) for s in sizes)
-
-
-def _tower_sizes(tower, height: int, per_level: list[list[int]]) -> int:
+def _level_sizes(tower, height: int, per_level: list[list[int]]) -> int:
     """Append to per_level[j] the sizes of the tower's height-j nodes (the
-    blocks of lam_{j+1} inside it), and return the tower's size."""
+    blocks of lam_{j+1} inside it), in leaf order, and return the tower's
+    size."""
     if height == 0:
         return tower
     total = 0
     for child in tower:
-        n = _tower_sizes(child, height - 1, per_level)
+        n = _level_sizes(child, height - 1, per_level)
         per_level[height - 1].append(n)
         total += n
     return total
-
-
-def _realize_tower(tower, elements: Sequence[int], per_level: list[list[tuple[int, ...]]]) -> None:
-    """Assign `elements` to the leaves of a tower of depth len(per_level).
-
-    Appends to per_level[j] the blocks of lam_{j+1} inside this tower (the
-    element sets of the tower's height-j nodes).
-    """
-    pos = 0
-
-    def walk(t, height: int) -> tuple[int, ...]:
-        nonlocal pos
-        if height == 0:
-            got = tuple(elements[pos : pos + t])
-            pos += t
-            return got
-        acc: list[int] = []
-        for child in t:
-            sub = walk(child, height - 1)
-            per_level[height - 1].append(sub)
-            acc.extend(sub)
-        return tuple(acc)
-
-    walk(tower, len(per_level))
 
 
 def chains_mod_symmetric_group(k: int, d: int) -> list[ChainFlag]:
@@ -640,7 +624,8 @@ def chains_mod_symmetric_group(k: int, d: int) -> list[ChainFlag]:
         raise RangeLimitError(f"k must be in 1..{CHAIN_LIMIT}, got {k}")
     if not 1 <= d <= k - 1:
         raise RangeLimitError(f"d must be in 1..{k - 1}, got {d}")
-    return list(_chain_orbits_relative(k, d, (tuple(range(1, k + 1)),), 1))
+    return [f for _, flags in _chain_orbits_relative(k, d, (tuple(range(1, k + 1)),), 1)
+            for f in flags]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -48,6 +49,34 @@ def test_faces_relative(capsys):
     )
     assert code == 0
     assert len(json.loads(out)) == 3
+
+
+# sha256 of the stdout of `faces --k 8 --format json` with the extra argv;
+# pins which orbit representative, in which order, each face gets.
+ATLAS_DIGESTS = {
+    ("--codim", "1"): "d03712967205fb4c20891aaa796d7cbd6f5bcdf390eddbdbc5afe3f265f6fc04",
+    ("--codim", "2"): "5148420210691c2da508479133ea3f898cca82ceb6ece4714d9959a1d3335311",
+    ("--codim", "3"): "10d5af782ec1d88be6d4aa1d833cc4bdc30c1db0b08e4d2456c6792e904dcab9",
+    ("--codim", "4"): "ba8e261f63ec4fcdf386cf0b1a605eed994611582a97c7001f475d4232476415",
+    ("--codim", "5"): "a246b62790bb1bb36d36839b4b609990094aa80af6e01c41aa5680f54219aef4",
+    ("--codim", "6"): "1207cd800e21213f4a10c1ce07895dc8ef5e7c2542306b0edca0367a0b24f014",
+    ("--codim", "7"): "b15d4129080e59594c62f39d0b5a5c57b85bf43d182ef417c30d5faa8d259c16",
+    ("--nu", "01230123", "--codim", "1"):
+        "468093fc14527e212bbdeb03165587fcd3fbcc5086f89e4d0467cd1e9adf656b",
+    ("--nu", "01230123", "--codim", "2"):
+        "de5c2a499e9310d77f53960be63e3fade71ed3e16310e5d4856dd7c786cbd1cb",
+    ("--nu", "01230123", "--codim", "3"):
+        "d96a869a0b4b56f90d366e20751bdafbf5a94708d89a7a6761b3865d07f4d3e8",
+    ("--nu", "01230123", "--codim", "4"):
+        "55e3285d880565a561f733f9e603b5de130d6a92cb589c7ad3a6a18f0bd02da5",
+}
+
+
+@pytest.mark.parametrize("argv", list(ATLAS_DIGESTS), ids=" ".join)
+def test_k8_atlas_json_digests(capsys, argv):
+    code, out, err = run_cli(capsys, "faces", "--k", "8", *argv, "--format", "json")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == ATLAS_DIGESTS[argv]
 
 
 def test_cluster_round_trip(tmp_path, capsys):

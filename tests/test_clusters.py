@@ -38,6 +38,16 @@ def test_separation_coincident_points():
         C.separation(C.Configuration([(1, 2, 3), (1, 2, 3)]))
 
 
+def test_coincident_points_are_named_in_scan_order():
+    a, b = (0.0, 0.0, 0.0), (1.0, 2.0, 3.0)
+    with pytest.raises(DegenerateInputError, match="^points 1 and 4 coincide$"):
+        C.separation(C.Configuration([a, b, b, a]))
+    with pytest.raises(DegenerateInputError, match="^points 2 and 3 coincide$"):
+        C.scale_chain(C.Configuration([a, b, b, (7.0, 0.0, 0.0)]))
+    with pytest.raises(DegenerateInputError, match="^points 1 and 2 coincide$"):
+        C.separation(C.Configuration([(0.0, 1.0, 2.0), (-0.0, 1.0, 2.0)]))
+
+
 def test_configuration_validation():
     with pytest.raises(ValueError):
         C.Configuration([])

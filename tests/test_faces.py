@@ -47,13 +47,29 @@ def test_range_errors():
 
 
 def test_dimension_identities_all_faces():
-    for k in range(2, 8):
-        for d in range(1, k):
-            for desc in F.corner_atlas(k, d):
+    # Every absolute atlas with k <= 8, and the relative atlases below four
+    # coarse partitions of {1..8}.
+    cases = [(k, None) for k in range(2, 9)]
+    nus = ("00001111", "00011122", "00112233", "01230123")
+    cases += [(8, SetPartition.from_rgs(s)) for s in nus]
+    for k, nu in cases:
+        coarse = 1 if nu is None else nu.rank
+        for d in range(1, k - coarse + 1):
+            atlas = F.corner_atlas(k, d, nu)
+            assert atlas
+            shared = {}
+            for desc in atlas:
+                chain = desc.chain
                 assert desc.codim == d
-                assert desc.total_dim == 4 * k - 3 - d
+                assert desc.total_dim == 4 * k - 3 * coarse - d
                 assert desc.total_dim == desc.fiber_dim + sum(desc.base_dims)
-                assert desc.fiber_dim == 4 * k - 3 * desc.chain[0].rank
+                assert desc.fiber_dim == 4 * k - 3 * chain[0].rank
+                ranks = [p.rank for p in chain] + [coarse]
+                assert desc.base_dims == tuple(3 * (r - s) - 1 for r, s in zip(ranks, ranks[1:]))
+                assert desc.integer_types == tuple(P.type_of(p) for p in chain)
+                # Equal types are one shared object within an atlas.
+                for t in desc.integer_types:
+                    assert shared.setdefault(t, t) is t
 
 
 def test_hypersurface_dimension_identity():
@@ -214,6 +230,37 @@ def test_validate_ibf_detects_mutation():
     report = F.validate_ibf(4, hypersurfaces=broken)
     assert not report.ok
     assert len(report.violations) >= 1
+
+
+def test_validate_ibf_matches_corners_to_their_pair():
+    k = 6
+    full = F.validate_ibf(k)
+    assert full.ok
+    corners = F.corner_atlas(k, 2)
+    counts = {}
+    for c in corners:
+        counts[c.integer_types] = counts.get(c.integer_types, 0) + 1
+    missing = full.edges[len(full.edges) // 2]
+    shifted = next(e for e in full.edges if counts[e] >= 2 and e != missing)
+    broken = []
+    for c in corners:
+        if c.integer_types == missing:
+            continue
+        if c.integer_types == shifted:
+            c = F.FaceDescriptor(c.k, c.chain, c.nu, c.codim, c.total_dim, c.fiber_dim + 1,
+                                 c.base_dims, c.integer_types)
+        broken.append(c)
+    report = F.validate_ibf(k, corners=broken)
+    assert report.edges == full.edges
+    fiber = full.hypersurface_dims[shifted[0]][1]
+    expected = []
+    for a, b in full.edges:
+        if (a, b) == missing:
+            expected.append(f"no codim-2 corner for comparable pair {a} < {b}")
+        elif (a, b) == shifted:
+            expected += [f"corner {a}<{b}: fiber dim {fiber + 1} != {fiber}",
+                         f"corner {a}<{b}: factor dims do not sum to total"] * counts[shifted]
+    assert report.violations == tuple(expected)
 
 
 def test_cover_schedule_k3():
