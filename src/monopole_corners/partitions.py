@@ -290,33 +290,32 @@ def one_block(k: int) -> SetPartition:
 def all_partitions(k: int) -> list[SetPartition]:
     """Every set partition of {1..k}, in lexicographic order of their
     restricted-growth strings."""
-    if not 1 <= k <= ENUMERATION_LIMIT:
-        raise RangeLimitError(f"k must be in 1..{ENUMERATION_LIMIT}, got {k}")
     return list(iter_partitions(k))
 
 
 def iter_partitions(k: int) -> Iterator[SetPartition]:
+    """Every set partition of {1..k}, in lexicographic order of their
+    restricted-growth words.  Element i joins each open block in turn, then
+    opens a new one; each open block is a tuple that a step replaces and
+    backtracking restores, so consecutive partitions share every unchanged
+    block tuple.  Blocks stay canonical, so no output is re-checked."""
     if not 1 <= k <= ENUMERATION_LIMIT:
         raise RangeLimitError(f"k must be in 1..{ENUMERATION_LIMIT}, got {k}")
     new = SetPartition._canonical
-    # Element i joins each open block in turn, then opens a new one: the
-    # restricted-growth words in lexicographic order, kept in `word` next to
-    # the blocks.  Blocks stay ascending and in order of their minimum, so
-    # no output is re-checked.
-    blocks: list[list[int]] = [[1]]
+    blocks: list[tuple[int, ...]] = [(1,)]
     word = [0] * k
 
     def place(i: int) -> Iterator[SetPartition]:
         if i > k:
-            yield new(tuple(map(tuple, blocks)), tuple(word))
+            yield new(tuple(blocks), tuple(word))
             return
         for n, b in enumerate(blocks):
-            b.append(i)
+            blocks[n] = b + (i,)
             word[i - 1] = n
             yield from place(i + 1)
-            b.pop()
+            blocks[n] = b
         word[i - 1] = len(blocks)
-        blocks.append([i])
+        blocks.append((i,))
         yield from place(i + 1)
         blocks.pop()
 
@@ -501,9 +500,12 @@ def refines_integer_partition(a: IntegerPartition, b: IntegerPartition) -> bool:
 # adds the next finer chain entry.  A refined forest is kept only when some
 # leaf really splits, which keeps the chain strict, and when its leaf count
 # leaves room for one more split at each level still to come, so every
-# forest kept extends to a full chain.  Each level's forests are keyed in a
-# dict, so each orbit appears once and the work follows the number of
-# orbits, not of weak towers.
+# forest kept extends to a full chain.  A refined forest's coarsening is
+# the forest it was refined from, so each orbit is reached from exactly one
+# parent: forests are refined depth first, one held per level, with no
+# de-duplication, and the work follows the number of orbits, not of weak
+# towers.  Subtrees recur across forests, so their refinements are
+# memoized; the whole tower of a one-block forest occurs once and is not.
 # ---------------------------------------------------------------------------
 
 
@@ -517,10 +519,11 @@ def _leaf_refinements(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple((tuple(reversed(p.parts)), len(p)) for p in integer_partitions(n))
 
 
-def _tower_refinements(tower, memo: dict) -> Sequence[tuple]:
+def _tower_refinements(tower, memo: dict, keep: bool = True) -> Sequence[tuple]:
     """(refined tower, leaf count) for every way of replacing each leaf n of
     `tower` by an integer partition of n, with children re-sorted
-    canonically.  `memo` must already hold the answer for every leaf."""
+    canonically.  `memo` must already hold the answer for every leaf; the
+    answer for `tower` is added to it if `keep`."""
     got = memo.get(tower)
     if got is None:
         # Refining keeps each child's size, so sort on the old sizes.
@@ -529,7 +532,9 @@ def _tower_refinements(tower, memo: dict) -> Sequence[tuple]:
         for kids in itertools.product(*(_tower_refinements(c, memo) for c in tower)):
             keyed = sorted(zip(sizes, (t for t, _ in kids)), reverse=True)
             seen[tuple(t for _, t in keyed)] = sum(n for _, n in kids)
-        got = memo[tower] = list(seen.items())
+        got = list(seen.items())
+        if keep:
+            memo[tower] = got
     return got
 
 
@@ -583,22 +588,26 @@ def _chain_orbits_relative(
 
 def _level_forests(
     k: int, d: int, blocks: tuple[tuple[int, ...], ...], coarse_rank: int
-) -> dict[tuple, int]:
-    """The level-d forests below the given coarse blocks: one tower per
-    block, each orbit once, mapped to the rank of their finest level."""
-    memo: dict = {n: _leaf_refinements(n) for n in range(1, max(len(b) for b in blocks) + 1)}
-    # Each forest maps to the rank of its finest level so far.
-    forests = {tuple(len(b) for b in blocks): coarse_rank}
-    for level in range(1, d + 1):
-        cap = k - (d - level)
-        refined: dict[tuple, int] = {}
-        for forest, rank in forests.items():
-            for combo in itertools.product(*(_tower_refinements(t, memo) for t in forest)):
-                n = sum(c for _, c in combo)
-                if rank < n <= cap:
-                    refined[tuple(t for t, _ in combo)] = n
-        forests = refined
-    return forests
+) -> Iterator[tuple]:
+    """The level-d forests below the given coarse blocks, one tower per
+    block, each orbit once, depth first."""
+    sizes = tuple(map(len, blocks))
+    memo: dict = {n: _leaf_refinements(n) for n in range(1, max(sizes) + 1)}
+    # Not a self-calling closure, a cycle that would keep the memo past the end.
+    return _forests_below(sizes, coarse_rank, k - d + 1, k, memo, len(blocks) > 1)
+
+
+def _forests_below(forest, rank: int, cap: int, k: int, memo: dict, keep: bool) -> Iterator[tuple]:
+    """The last-level refinements of a forest with `rank` leaves, when the
+    next level may have at most `cap` leaves and the last at most k."""
+    for combo in itertools.product(*(_tower_refinements(t, memo, keep) for t in forest)):
+        n = sum(c for _, c in combo)
+        if rank < n <= cap:
+            refined = tuple(t for t, _ in combo)
+            if cap == k:
+                yield refined
+            else:
+                yield from _forests_below(refined, n, cap + 1, k, memo, keep)
 
 
 def _level_sizes(tower, height: int, per_level: list[list[int]]) -> int:

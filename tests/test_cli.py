@@ -69,6 +69,28 @@ ATLAS_DIGESTS = {
         "d96a869a0b4b56f90d366e20751bdafbf5a94708d89a7a6761b3865d07f4d3e8",
     ("--nu", "01230123", "--codim", "4"):
         "55e3285d880565a561f733f9e603b5de130d6a92cb589c7ad3a6a18f0bd02da5",
+    ("--nu", "00001111", "--codim", "1"):
+        "17c193dcaacaeaa012057a1efed96a7886ba50851b0b0448845a26bd24375fe5",
+    ("--nu", "00001111", "--codim", "2"):
+        "ffa647f0c6f465037cabc1483a851b3858c7c00de763e621fc9dc8ac555c7590",
+    ("--nu", "00001111", "--codim", "3"):
+        "03a99e4c509e1651ad91af83e1af49fdcd20dc77ef4e7856d725259792567b10",
+    ("--nu", "00001111", "--codim", "4"):
+        "d27c16c8d8c1641a7babb3053ce9cbb9fcab4c3d94d107f3ead93058475d7ceb",
+    ("--nu", "00001111", "--codim", "5"):
+        "840095f5c6c976c3639dc92340e61aeb7d2204446f74ae708505c2972cd3ea7f",
+    ("--nu", "00001111", "--codim", "6"):
+        "aa423d0f900cbe60e21ba50b543788f5b2c55ae93dfd4a4a8ae31cd367e53b30",
+    ("--nu", "00011122", "--codim", "1"):
+        "57f6f355b6c32d3962c3ad6f16a3be0e5efdb24d1bab7a7d18ee696c4d06afe2",
+    ("--nu", "00011122", "--codim", "2"):
+        "fa9f233923dd9a6cf90c27ddbdd429981b71a5c894372eb310f9294724170e12",
+    ("--nu", "00011122", "--codim", "3"):
+        "2429300f24527140ebf03741799feebfdb2334a5043a7f9d207d3bd6f5c564b6",
+    ("--nu", "00011122", "--codim", "4"):
+        "4e7b7fbffa9c09c97489fcff774983893b8ae91985e682d463c0a24b864d3976",
+    ("--nu", "00011122", "--codim", "5"):
+        "2a0081328c57fd4b6ff28dab645aca39757423ab806cada1714c367c73b55d69",
 }
 
 

@@ -1,8 +1,12 @@
 import copy
+import os
 import pickle
 import random
-from itertools import combinations, permutations
+import subprocess
+import sys
+from itertools import combinations, permutations, zip_longest
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from monopole_corners import faces as F
 from monopole_corners import partitions as P
 from monopole_corners.errors import ChainError, RangeLimitError
 from monopole_corners.partitions import IntegerPartition, SetPartition
+
+SRC = str(Path(P.__file__).resolve().parents[1])
 
 
 def bell_triangle(n):
@@ -58,6 +64,52 @@ def test_enumeration_range_errors():
 
 def test_k1_single_partition():
     assert P.all_partitions(1) == [SetPartition(1, [[1]])]
+
+
+def _rgs_words(k):
+    """The restricted-growth words of length k, in lexicographic order."""
+    word = [0]
+
+    def grow(top):
+        if len(word) == k:
+            yield tuple(word)
+            return
+        for n in range(top + 2):
+            word.append(n)
+            yield from grow(max(top, n))
+            word.pop()
+
+    yield from grow(0)
+
+
+def test_iter_partitions_matches_list_of_lists_reference():
+    for k in range(1, 11):
+        for got, word in zip_longest(P.iter_partitions(k), _rgs_words(k)):
+            assert got is not None and word is not None, k
+            blocks = [[] for _ in range(max(word) + 1)]
+            for i, n in enumerate(word, start=1):
+                blocks[n].append(i)
+            assert (got.blocks, got.index) == (tuple(map(tuple, blocks)), word)
+
+
+def _traced(body):
+    """What `body` prints, run after `tracemalloc.start()` in a fresh
+    interpreter that has imported the partitions module as P."""
+    probe = ("import tracemalloc\n"
+             "from monopole_corners import partitions as P\n"
+             "tracemalloc.start()\n" + body)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+def test_all_partitions_bytes_per_partition():
+    # Consecutive partitions share their unchanged block tuples: about 317 B
+    # per partition of {1..9}, against 493 B with fresh tuples for every block.
+    held = _traced("parts = P.all_partitions(9)\n"
+                   "print(tracemalloc.get_traced_memory()[0] // len(parts))\n")
+    assert held < 340
 
 
 def test_canonical_representation_is_unique():
@@ -377,6 +429,40 @@ def test_relative_atlas_counts_match_oracle(nu):
         assert len({tuple(f.chain) for f in faces}) == len(faces)
     assert chain_orbit_oracle(sizes, 9 - nu.rank) == 0
     assert F.corner_atlas(8, 9 - nu.rank, nu) == []
+
+
+K9_ORBIT_COUNTS = {
+    (9,): [29, 365, 2174, 6833, 12068, 12060, 6373, 1385],
+    (5, 4): [34, 309, 1220, 2479, 2720, 1535, 350],
+}
+
+
+@pytest.mark.parametrize("sizes", list(K9_ORBIT_COUNTS), ids=str)
+def test_k9_chain_orbits_match_oracle(sizes):
+    """Every forest is refined from exactly one parent, so the depth-first
+    enumeration meets each orbit once: counts and distinct flags at k = 9,
+    past the atlas limit, for every d."""
+    blocks, start = [], 1
+    for n in sizes:
+        blocks.append(tuple(range(start, start + n)))
+        start += n
+    counts = K9_ORBIT_COUNTS[sizes]
+    for d, want in enumerate(counts, start=1):
+        flags = [f for _, group in P._chain_orbits_relative(9, d, tuple(blocks), len(blocks))
+                 for f in group]
+        assert len(flags) == chain_orbit_oracle(sizes, d) == want
+        assert len({tuple(p.index for p in f.chain) for f in flags}) == want
+    assert chain_orbit_oracle(sizes, len(counts) + 1) == 0
+
+
+def test_chain_orbit_drain_peak_memory():
+    # Forests are refined depth first and the whole tower of a one-block
+    # forest is not memoized: about 4.3 MB, against 6.6 MB when each level's
+    # forests were held in a dict.
+    peak = _traced("for _ in P._chain_orbits_relative(9, 5, (tuple(range(1, 10)),), 1):\n"
+                   "    pass\n"
+                   "print(tracemalloc.get_traced_memory()[1])\n")
+    assert peak < 4_800_000
 
 
 def test_chain_orbit_range_errors():
