@@ -1,16 +1,31 @@
-"""Immutable result records without generated code.
+"""Immutable values without generated code.
 
-A record class lists its fields in ``__slots__`` and writes its own
-``__init__`` with one parameter per field, in that order, setting each
-field with ``object.__setattr__``.  The base class supplies what a frozen
-dataclass would: ``Name(field=value, ...)`` as repr, field-wise equality
-within the exact type, the hash of the field tuple, and AttributeError on
-assignment or deletion.
+A record class lists its fields in ``__slots__`` and inherits what a frozen
+dataclass would give it: a constructor taking every field once, in slot
+order, by position or by name; ``Name(field=value, ...)`` as repr;
+field-wise equality within the exact type; the hash of the field tuple;
+AttributeError on assignment or deletion; and pickle and copy through the
+constructor.  A class writes its own ``__init__``, setting each field with
+``object.__setattr__``, only to check or normalize its input (the value
+classes and ``StrongFieldComponent``) or to give a default (``IbfReport``).
+``SetPartition`` and ``RationalMapPair`` override ``__reduce__``, as their
+constructors do not take their slots as arguments.
 """
 
 
 class Record:
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        if named:
+            values += tuple(named.pop(name) for name in names[len(values):] if name in named)
+        if named or len(values) != len(names):
+            extra = f" and {', '.join(named)} again or unknown" if named else ""
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)} once "
+                            f"each, got {len(values)} of them{extra}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

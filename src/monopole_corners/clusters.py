@@ -58,7 +58,7 @@ def _point(p, what: str) -> Point:
     return as_real(x, what), as_real(y, what), as_real(z, what)
 
 
-class Configuration:
+class Configuration(Record):
     """Labelled points in R^3, optionally carrying positive integer charges."""
 
     __slots__ = ("points", "charges")
@@ -74,9 +74,6 @@ class Configuration:
                 raise ValueError("one charge per point required")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "charges", ch)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Configuration is immutable")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Configuration":
@@ -123,7 +120,7 @@ class StrongFieldComponent(Record):
         object.__setattr__(self, "charge", as_int(charge, "charge", 1))
 
 
-class StrongFieldInput:
+class StrongFieldInput(Record):
     """Connected components of a strong-field region plus the ball seed R'."""
 
     __slots__ = ("components", "r_prime")
@@ -140,9 +137,6 @@ class StrongFieldInput:
             raise ValueError(f"r_prime must be positive, got {r_prime!r}")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "r_prime", r_prime)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StrongFieldInput is immutable")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "StrongFieldInput":
@@ -175,16 +169,6 @@ class ClusterRound(Record):
 
     __slots__ = ("t", "d", "radius", "gamma", "centers", "merged_groups")
 
-    def __init__(self, t: int, d: Fraction, radius: Fraction, gamma: Fraction,
-                 centers: tuple[FracPoint, ...],
-                 merged_groups: tuple[tuple[int, ...], ...] | None):
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "merged_groups", merged_groups)
-
     @property
     def n_clusters(self) -> int:
         return len(self.centers)
@@ -200,21 +184,6 @@ class ClusterDecomposition(Record):
 
     __slots__ = ("omega", "centers", "radius", "gamma", "diameter", "rounds", "cluster_type",
                  "cluster_charges", "epsilon", "history")
-
-    def __init__(self, omega: SetPartition, centers: tuple[Point, ...], radius: float,
-                 gamma: float, diameter: float, rounds: int, cluster_type: IntegerPartition,
-                 cluster_charges: tuple[int, ...], epsilon: float,
-                 history: tuple[ClusterRound, ...]):
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "diameter", diameter)
-        object.__setattr__(self, "rounds", rounds)
-        object.__setattr__(self, "cluster_type", cluster_type)
-        object.__setattr__(self, "cluster_charges", cluster_charges)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "history", history)
 
     @property
     def exact(self) -> ClusterRound:

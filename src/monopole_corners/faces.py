@@ -21,7 +21,6 @@ from typing import Iterator
 from ._record import Record
 from .errors import RangeLimitError
 from .partitions import (
-    ChainFlag,
     IntegerPartition,
     SetPartition,
     _chain_orbits_relative,
@@ -39,18 +38,6 @@ class FaceDescriptor(Record):
 
     __slots__ = ("k", "chain", "nu", "codim", "total_dim", "fiber_dim", "base_dims",
                  "integer_types")
-
-    def __init__(self, k: int, chain: ChainFlag, nu: SetPartition, codim: int,
-                 total_dim: int, fiber_dim: int, base_dims: tuple[int, ...],
-                 integer_types: tuple[IntegerPartition, ...]):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "codim", codim)
-        object.__setattr__(self, "total_dim", total_dim)
-        object.__setattr__(self, "fiber_dim", fiber_dim)
-        object.__setattr__(self, "base_dims", base_dims)
-        object.__setattr__(self, "integer_types", integer_types)
 
     def to_json_dict(self) -> dict:
         out = {

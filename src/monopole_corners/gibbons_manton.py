@@ -23,7 +23,7 @@ from ._record import Record
 from .partitions import IntegerPartition, SetPartition, apply_permutation, blocks_within, refines
 
 
-class ChernWeightSystem:
+class ChernWeightSystem(Record):
     """Integer weights between lam-blocks within common nu-blocks.
 
     `weights[i][j] == 2 * size of block(j)` where i, j are block
@@ -40,9 +40,6 @@ class ChernWeightSystem:
         object.__setattr__(self, "nu", nu)
         frozen = {i: dict(sorted(m.items())) for i, m in sorted(weights.items())}
         object.__setattr__(self, "weights", frozen)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChernWeightSystem is immutable")
 
     @property
     def rank(self) -> int:
@@ -104,14 +101,13 @@ def weight_system(lam: SetPartition, nu: SetPartition) -> ChernWeightSystem:
 
 
 class SplitWitness(Record):
-    """Decomposition of each block's weights through an intermediate level."""
+    """Decomposition of each block's weights through an intermediate level.
+
+    `parts` maps each lam-block representative to its fine-side weights and
+    its pushed-down coarse-side weights.
+    """
 
     __slots__ = ("splits", "parts")
-
-    def __init__(self, splits: bool, parts: dict):
-        # parts: rep -> (fine-side weights, pushed-down coarse-side weights)
-        object.__setattr__(self, "splits", splits)
-        object.__setattr__(self, "parts", parts)
 
 
 def restriction_splits(lam: SetPartition, mu: SetPartition, nu: SetPartition) -> SplitWitness:
@@ -175,10 +171,6 @@ def sym_action(sigma: Sequence[int], system: ChernWeightSystem) -> ChernWeightSy
 
 class TorusGroupStructure(Record):
     __slots__ = ("torus_rank", "finite_order")
-
-    def __init__(self, torus_rank: int, finite_order: int):
-        object.__setattr__(self, "torus_rank", torus_rank)
-        object.__setattr__(self, "finite_order", finite_order)
 
 
 def torus_group_structure(a: IntegerPartition) -> TorusGroupStructure:

@@ -79,6 +79,9 @@ class ManyBodyStructure:
     def __setattr__(self, name, value):
         raise AttributeError("ManyBodyStructure is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("ManyBodyStructure is immutable")
+
     @property
     def labels(self) -> list[str]:
         return sorted(self.dims, key=lambda l: (self.dims[l], l))
@@ -147,13 +150,10 @@ class ManyBodyStructure:
 
 
 class FaceFactor(Record):
-    __slots__ = ("kind", "description", "dim")
+    """One factor of a corner: `kind` is "M" for the closed type or "B" for
+    a boundary type, and `dim` its dimension."""
 
-    def __init__(self, kind: str, description: str, dim: int):
-        # kind: "M" (closed type) or "B" (boundary type)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "dim", dim)
+    __slots__ = ("kind", "description", "dim")
 
 
 class ManyBodyFace(Record):
@@ -165,10 +165,6 @@ class ManyBodyFace(Record):
     """
 
     __slots__ = ("chain", "factors")
-
-    def __init__(self, chain: tuple[str, ...], factors: tuple[FaceFactor, ...]):
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "factors", factors)
 
     @property
     def total_dim(self) -> int:

@@ -29,7 +29,7 @@ ENUMERATION_LIMIT = 12
 CHAIN_LIMIT = 8
 
 
-class SetPartition:
+class SetPartition(Record):
     """A partition of {1..k} into disjoint nonempty blocks.
 
     `index` is the restricted-growth word: `index[i - 1]` is the number of
@@ -96,9 +96,6 @@ class SetPartition:
             for i in b:
                 index[i - 1] = n
         return cls._canonical(blocks, tuple(index))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SetPartition is immutable")
 
     def __reduce__(self):
         return type(self), (self.k, self.blocks)
@@ -179,7 +176,7 @@ class SetPartition:
         return f"SetPartition({self.k}, {self})"
 
 
-class IntegerPartition:
+class IntegerPartition(Record):
     """A multiset of positive integers, stored sorted ascending."""
 
     __slots__ = ("parts",)
@@ -192,12 +189,6 @@ class IntegerPartition:
             if type(x) is not int or x < 1:
                 raise ValueError(f"parts must be integers >= 1, got {x!r}")
         object.__setattr__(self, "parts", tuple(sorted(p)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntegerPartition is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.parts,)
 
     @property
     def total(self) -> int:
@@ -222,7 +213,7 @@ class IntegerPartition:
         return f"IntegerPartition{self.parts}"
 
 
-class ChainFlag:
+class ChainFlag(Record):
     """A strictly increasing refinement chain of partitions of {1..k}.
 
     Entries are ordered finest first and may not include the one-block
@@ -253,12 +244,6 @@ class ChainFlag:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "chain", chain)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChainFlag is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.k, self.chain)
 
     def __len__(self) -> int:
         return len(self.chain)
@@ -645,18 +630,9 @@ def chains_mod_symmetric_group(k: int, d: int) -> list[ChainFlag]:
 class SymmetryOrders(Record):
     __slots__ = ("order_sigma_lambda", "order_stab", "order_sym_lambda")
 
-    def __init__(self, order_sigma_lambda: int, order_stab: int, order_sym_lambda: int):
-        object.__setattr__(self, "order_sigma_lambda", order_sigma_lambda)
-        object.__setattr__(self, "order_stab", order_stab)
-        object.__setattr__(self, "order_sym_lambda", order_sym_lambda)
-
 
 class FlagSymmetryOrders(Record):
     __slots__ = ("order_sym0", "order_sym")
-
-    def __init__(self, order_sym0: int, order_sym: int):
-        object.__setattr__(self, "order_sym0", order_sym0)
-        object.__setattr__(self, "order_sym", order_sym)
 
 
 def symmetry_orders(lam: SetPartition) -> SymmetryOrders:

@@ -24,10 +24,11 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .inputs import as_list, as_object, as_rational
 
 
-class GaussianRational:
+class GaussianRational(Record):
     """An exact complex number with rational real and imaginary parts."""
 
     __slots__ = ("re", "im")
@@ -35,9 +36,6 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     @classmethod
     def coerce(cls, value) -> "GaussianRational":
@@ -142,16 +140,13 @@ _QUARTER_UNITS = {
 }
 
 
-class Phase:
+class Phase(Record):
     """The unit complex number exp(2*pi*i*turns) with rational turns."""
 
     __slots__ = ("turns",)
 
     def __init__(self, turns):
         object.__setattr__(self, "turns", Fraction(turns) % 1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Phase is immutable")
 
     def as_gaussian(self) -> GaussianRational | None:
         """The exact value, when it happens to be a Gaussian rational."""
@@ -170,13 +165,13 @@ class Phase:
         return f"Phase({self.turns})"
 
 
-class RationalMapPair:
+class RationalMapPair(Record):
     """A based rational map of degree k: phi over monic psi.
 
     `phi_phase` is an exact extra unit factor on phi (in turns); direct
     constructions have phase 0, and quarter turns are always folded into
     the coefficients.  The Sylvester determinant of (psi, phi) is computed
-    on first use and kept with the map; equality and hashing ignore it.
+    on first use and kept with the map; equality, hashing and copies ignore it.
     """
 
     __slots__ = ("k", "phi", "psi", "phi_phase", "_gauss")
@@ -204,8 +199,8 @@ class RationalMapPair:
         object.__setattr__(self, "phi_phase", turns)
         object.__setattr__(self, "_gauss", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMapPair is immutable")
+    def __reduce__(self):
+        return type(self), (self.phi, self.psi, self.phi_phase)
 
     def __eq__(self, other) -> bool:
         return (

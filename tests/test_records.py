@@ -16,6 +16,7 @@ from monopole_corners import faces as F
 from monopole_corners import gibbons_manton as GM
 from monopole_corners import manybody as MB
 from monopole_corners import partitions as P
+from monopole_corners import ratmaps as R
 from monopole_corners.partitions import ChainFlag, IntegerPartition, SetPartition
 
 LAM = SetPartition(3, [[1, 2], [3]])
@@ -54,6 +55,20 @@ RECORDS = [
 ]
 
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
+
+#: One instance of each value class, the classes that check their input.
+VALUES = [
+    SetPartition(4, [[1, 3], [2], [4]]),
+    IntegerPartition([2, 1, 2]),
+    ChainFlag(3, [P.singletons(3), LAM]),
+    R.GaussianRational(Fraction(1, 2), -3),
+    R.Phase(Fraction(4, 3)),
+    R.RationalMapPair([1, (0, 1)], [Fraction(1, 3), 0], phi_phase=Fraction(1, 3)),
+    C.Configuration([[0, 0, 0], [1, 2.5, -3]], charges=[1, 2]),
+    C.StrongFieldInput([{"center": [0, 0, 0], "diameter": 1, "charge": 2},
+                        C.StrongFieldComponent((40, 0, 0), 0.5, 1)], r_prime=2.0),
+    GM.weight_system(P.singletons(3), NU),
+]
 
 
 def _build(cls, fields):
@@ -124,6 +139,51 @@ def test_construction_needs_every_field(cls, fields, hashable):
         cls(**dict(fields[1:]))
     with pytest.raises(TypeError):
         cls(**dict(fields), extra=1)
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_value_classes_copy_pickle_and_refuse_changes(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+    fields = [(name, getattr(value, name)) for name in type(value).__slots__]
+    for name, field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, field)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.not_a_field = 1
+    assert [(name, getattr(value, name)) for name, _ in fields] == fields
+
+
+def test_phase_tagged_map_keeps_its_phase_and_drops_its_cache():
+    m = R.RationalMapPair([1, (0, 1)], [Fraction(1, 3), 0], phi_phase=Fraction(1, 3))
+    assert m.phi_phase == Fraction(1, 12)
+    resultant = R._gauss_resultant(m)
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert (twin.phi, twin.psi, twin.phi_phase) == (m.phi, m.psi, m.phi_phase)
+        assert twin._gauss is None and R._gauss_resultant(twin) == resultant
+
+
+def test_configurations_compare_by_field():
+    a = C.Configuration([[0, 0, 0], [1, 2, 3]], charges=[1, 2])
+    assert a == C.Configuration([(0.0, 0.0, 0.0), (1, 2, 3)], [1, 2])
+    assert a != C.Configuration([[0, 0, 0], [1, 2, 3]])
+    assert repr(a) == "Configuration(points=((0.0, 0.0, 0.0), (1.0, 2.0, 3.0)), charges=(1, 2))"
+    b = C.StrongFieldInput([{"center": [0, 0, 0], "diameter": 1, "charge": 2}])
+    assert b == C.StrongFieldInput([C.StrongFieldComponent([0, 0, 0], 1, 2)], 1.0)
+    assert len({a, b, copy.copy(a), copy.copy(b)}) == 2
+
+
+def test_many_body_structure_refuses_assignment_and_deletion():
+    ws = MB.ManyBodyStructure(3, {"0": 0, "L": 1, "V": 3}, [("0", "L", "0")])
+    for name in ("ambient_dim", "dims", "_meet"):
+        with pytest.raises(AttributeError):
+            setattr(ws, name, None)
+        with pytest.raises(AttributeError):
+            delattr(ws, name)
+    assert ws.dims == {"0": 0, "L": 1, "V": 3} and ws.meet("0", "L") == "0"
 
 
 def test_ibf_report_violations_default_to_empty():
