@@ -9,7 +9,10 @@ constructor.  A class writes its own ``__init__``, setting each field with
 ``object.__setattr__``, only to check or normalize its input (the value
 classes and ``StrongFieldComponent``) or to give a default (``IbfReport``).
 ``SetPartition`` and ``RationalMapPair`` override ``__reduce__``, as their
-constructors do not take their slots as arguments.
+constructors do not take their slots as arguments.  Equality and hashing are
+written out only by ``SetPartition`` (its word ``index`` alone, for speed),
+``GaussianRational`` (equal to the numbers it coerces), ``RationalMapPair``
+(without its cache) and, for its dict field, ``ChernWeightSystem``'s hash.
 """
 
 

@@ -48,13 +48,6 @@ class ChernWeightSystem(Record):
     def total_weight(self, i: int) -> int:
         return sum(self.weights[i].values())
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ChernWeightSystem)
-            and (self.k, self.lam, self.nu) == (other.k, other.lam, other.nu)
-            and self.weights == other.weights
-        )
-
     def __hash__(self) -> int:
         return hash((self.k, self.lam, self.nu,
                      tuple((i, tuple(m.items())) for i, m in self.weights.items())))

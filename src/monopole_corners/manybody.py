@@ -8,9 +8,8 @@ everything exact.  The meet function is a lookup in a hand-built or JSON
 table, or is computed on demand.  The one concrete constructor builds the
 family of diagonals of E^k modulo the total diagonal, the reduced
 configuration space of k points in R^m, whose meets are partition joins
-computed when asked for: each merges the other partition's blocks in one at
-a time through a memo of block merges keyed by (partition id, block mask),
-at most Bell(k)*(2^k - k - 1) entries, so no Bell(k)^2 table is ever stored.
+computed when asked for through a memo of :func:`partitions.merge_block`
+results, so no Bell(k)^2 table is ever stored.
 """
 
 from __future__ import annotations
@@ -81,6 +80,12 @@ class ManyBodyStructure:
 
     def __delattr__(self, name):
         raise AttributeError("ManyBodyStructure is immutable")
+
+    def __copy__(self):  # equality is identity: the only equal copy is itself
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     @property
     def labels(self) -> list[str]:
@@ -214,25 +219,11 @@ def diagonal_structure(k: int, m: int) -> ManyBodyStructure:
             slot = i << k | mb
             j = merged[slot]
             if j < 0:
-                j = merged[slot] = id_of[_merge_block(keys[i], mb)]
+                j = merged[slot] = id_of[partitions.merge_block(keys[i], mb)]
             i = j
         return labels[i]
 
     return ManyBodyStructure(m * (k - 1), dims, meet)
-
-
-def _merge_block(key: tuple[int, ...], mb: int) -> tuple[int, ...]:
-    """The canonical key after merging the blocks of `key` that meet the
-    bitmask mb into one block."""
-    rest = []
-    for x in key:
-        if x & mb:
-            mb |= x
-        else:
-            rest.append(x)
-    rest.append(mb)
-    rest.sort()
-    return tuple(rest)
 
 
 def validate(ws: ManyBodyStructure) -> list[str]:

@@ -200,12 +200,6 @@ class IntegerPartition(Record):
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntegerPartition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.parts)) + ")"
 
@@ -253,12 +247,6 @@ class ChainFlag(Record):
 
     def __getitem__(self, i):
         return self.chain[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ChainFlag) and self.k == other.k and self.chain == other.chain
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.chain))
 
     def __repr__(self) -> str:
         return f"ChainFlag({self.k}, [{', '.join(str(p) for p in self.chain)}])"
@@ -346,34 +334,31 @@ def block_masks(lam: SetPartition) -> tuple[int, ...]:
     return tuple(sum(1 << (i - 1) for i in b) for b in lam.blocks)
 
 
-def join_masks(a: Sequence[int], b: Iterable[int]) -> frozenset[int]:
-    """Blocks of the finest common coarsening of two partitions of one
-    ground set, both given as block bitmasks (see :func:`block_masks`).
-
-    Each block of b merges the blocks it meets; a singleton block meets
-    exactly one and is skipped.
-    """
-    blocks = a
-    for mb in b:
-        if mb & (mb - 1):
-            merged = mb
-            rest = []
-            for x in blocks:
-                if x & mb:
-                    merged |= x
-                else:
-                    rest.append(x)
-            rest.append(merged)
-            blocks = rest
-    return frozenset(blocks)
+def merge_block(key: Sequence[int], mb: int) -> tuple[int, ...]:
+    """Block bitmasks (see :func:`block_masks`) after merging those that meet
+    the bitmask mb into one, sorted: the merged partition's canonical key."""
+    rest = []
+    for x in key:
+        if x & mb:
+            mb |= x
+        else:
+            rest.append(x)
+    rest.append(mb)
+    rest.sort()
+    return tuple(rest)
 
 
 def join(lam: SetPartition, mu: SetPartition) -> SetPartition:
     """Finest common coarsening (the lattice join under refinement order)."""
     if lam.k != mu.k:
         raise ValueError("partitions have different ground sets")
-    blocks = join_masks(block_masks(lam), block_masks(mu))
-    return SetPartition(lam.k, ([i + 1 for i in range(lam.k) if m >> i & 1] for m in blocks))
+    k = lam.k
+    key = block_masks(lam)
+    for mb in block_masks(mu):
+        if mb & (mb - 1):
+            key = merge_block(key, mb)
+    blocks = (tuple(i + 1 for i in range(k) if m >> i & 1) for m in key)
+    return SetPartition._from_blocks(k, tuple(sorted(blocks)))
 
 
 def meet(lam: SetPartition, mu: SetPartition) -> SetPartition:

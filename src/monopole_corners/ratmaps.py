@@ -152,12 +152,6 @@ class Phase(Record):
         """The exact value, when it happens to be a Gaussian rational."""
         return _QUARTER_UNITS.get(self.turns)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Phase) and self.turns == other.turns
-
-    def __hash__(self) -> int:
-        return hash(("Phase", self.turns))
-
     def __complex__(self) -> complex:
         return cmath.exp(2j * cmath.pi * float(self.turns))
 

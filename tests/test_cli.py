@@ -120,6 +120,8 @@ def test_cluster_round_trip(tmp_path, capsys):
     assert dec["type"] == [3]
     assert dec["rounds"] == 1
     assert dec["omega"] == {"k": 2, "blocks": [[1, 2]]}
+    # one cluster left, so no pairs: epsilon is printed as the float 0.0
+    assert out.splitlines()[-2:] == ['  "epsilon": 0.0', "}"]
     csv = csv_path.read_text().strip().split("\n")
     assert csv[0] == "t,d,R,gamma,r_omega"
     assert len(csv) == 3

@@ -118,6 +118,8 @@ def test_two_near_components_merge_once():
     assert dec.exact.radius == Fraction(157, 2)
     assert dec.exact.gamma == 3 * Fraction(157, 2) - Fraction(155, 4)
     assert dec.centers == ((20.0, 0.0, 0.0),)
+    # one final cluster: no pairs, and the separation is still a float
+    assert dec.epsilon == 0.0 and type(dec.epsilon) is float
 
 
 def test_tie_distance_counts_as_edge():

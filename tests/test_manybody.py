@@ -152,13 +152,13 @@ def test_validate_flags_a_bad_computed_meet():
 
 def test_diagonal_meets_are_computed_on_demand(monkeypatch):
     calls = []
-    kernel = MB._merge_block
+    kernel = P.merge_block
 
     def counting(key, mask):
         calls.append(mask)
         return kernel(key, mask)
 
-    monkeypatch.setattr(MB, "_merge_block", counting)
+    monkeypatch.setattr(P, "merge_block", counting)
     ws = MB.diagonal_structure(7, 3)
     assert calls == []
     # b = {1,2,5,6}{3,4,7}: at most one merge per non-singleton block of b
@@ -169,34 +169,17 @@ def test_diagonal_meets_are_computed_on_demand(monkeypatch):
     assert calls == first
 
 
-def _join_oracle(a: str, b: str) -> str:
-    """The join of two RGS labels by transitive closure of "same block in
-    a or in b", numbered by first appearance."""
-    k = len(a)
-    reach = [{j for j in range(k) if a[i] == a[j] or b[i] == b[j]} for i in range(k)]
-    grown = True
-    while grown:
-        grown = False
-        for s in reach:
-            closure = set().union(*(reach[j] for j in s))
-            if closure != s:
-                s |= closure
-                grown = True
-    names: dict[int, int] = {}
-    return "".join(str(names.setdefault(min(reach[i]), len(names))) for i in range(k))
-
-
 def test_diagonal_meet_equals_closure_oracle():
     for k in range(2, 7):
         ws = MB.diagonal_structure(k, 1)
         for a, b in product(ws.labels, repeat=2):
-            assert ws.meet(a, b) == _join_oracle(a, b), (a, b)
+            assert ws.meet(a, b) == _closure_join(a, b), (a, b)
     ws = MB.diagonal_structure(7, 3)
     rng = Random(1307)
     labels = ws.labels
     for _ in range(5000):
         a, b = rng.choice(labels), rng.choice(labels)
-        want = _join_oracle(a, b)
+        want = _closure_join(a, b)
         assert ws.meet(a, b) == want and ws.meet(b, a) == want, (a, b)
 
 
@@ -222,7 +205,7 @@ def test_containment_matches_refinement_exhaustively():
             la, lb = a.to_rgs(), b.to_rgs()
             # D_a is contained in D_b iff b refines a
             assert ws.leq(la, lb) == P.refines(b, a)
-            assert ws.meet(la, lb) == P.join(a, b).to_rgs()
+            assert ws.meet(la, lb) == _closure_join(la, lb)
 
 
 def test_face_of_chain_free_boundary():

@@ -186,6 +186,20 @@ def test_many_body_structure_refuses_assignment_and_deletion():
     assert ws.dims == {"0": 0, "L": 1, "V": 3} and ws.meet("0", "L") == "0"
 
 
+def test_many_body_structure_copies_as_itself():
+    # Equality is identity, so the only copy equal to a structure is itself;
+    # its meet is a local function, so pickle still refuses it.
+    for ws in (MB.ManyBodyStructure(3, {"0": 0, "V": 3}, []), MB.diagonal_structure(3, 1)):
+        assert copy.copy(ws) is ws and copy.deepcopy([ws])[0] is ws
+        with pytest.raises((AttributeError, pickle.PicklingError)):
+            pickle.dumps(ws)
+        with pytest.raises(AttributeError):
+            ws.dims = {}
+        with pytest.raises(AttributeError):
+            del ws.dims
+        assert ws.dims[ws.zero_label()] == 0
+
+
 def test_ibf_report_violations_default_to_empty():
     report = F.IbfReport(k=2, edges=(), hypersurface_dims={})
     assert report.violations == () and report.ok
