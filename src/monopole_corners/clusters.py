@@ -98,15 +98,18 @@ def _require_distinct(points: Sequence[Point]) -> None:
 
 
 def separation(c: Configuration) -> float:
-    """Sum of reciprocal pairwise distances; 0 for a single point.
+    """Sum of reciprocal pairwise distances; 0.0 for a single point.
 
     Homogeneous of degree -1 under scaling; serves as the boundary defining
     function of the ideal configuration boundary.
     """
     _require_distinct(c.points)
-    return sum(
-        1.0 / math.dist(p, q) for p, q in itertools.combinations(c.points, 2)
-    )
+    return _reciprocal_distance_sum(c.points)
+
+
+def _reciprocal_distance_sum(points: Sequence[Point]) -> float:
+    """Sum of 1/|p - q| over every pair of points; 0.0 for a single point."""
+    return sum((1.0 / math.dist(p, q) for p, q in itertools.combinations(points, 2)), 0.0)
 
 
 class StrongFieldComponent(Record):
@@ -303,12 +306,6 @@ def taubes_cluster(inp: StrongFieldInput) -> ClusterDecomposition:
     omega = SetPartition(n, blocks)
     charges = tuple(sum(comps[i - 1].charge for i in b) for b in omega.blocks)
     final_centers = tuple(tuple(float(x) for x in p) for p in centers)
-    eps = 0.0
-    if len(centers) > 1:
-        eps = sum(
-            1.0 / math.dist(p, q)
-            for p, q in itertools.combinations(final_centers, 2)
-        )
     return ClusterDecomposition(
         omega=omega,
         centers=final_centers,
@@ -318,7 +315,7 @@ def taubes_cluster(inp: StrongFieldInput) -> ClusterDecomposition:
         rounds=t,
         cluster_type=IntegerPartition(charges),
         cluster_charges=charges,
-        epsilon=eps,
+        epsilon=_reciprocal_distance_sum(final_centers),
         history=tuple(history),
     )
 

@@ -79,9 +79,11 @@ def iter_corner_atlas(
     k: int, d: int, nu: SetPartition | None = None
 ) -> Iterator[FaceDescriptor]:
     """The descriptors of :func:`corner_atlas`, in the same order, yielded
-    one (ranks, types) group at a time, so that only the current group's
-    chains are held.  The arguments are checked when this is called, before
-    the first descriptor is asked for."""
+    one (ranks, types) group at a time.  Every chain is held as a tuple of
+    level partitions, each built once per atlas and shared by every chain
+    that has it; only the current group's flags and descriptors are built.
+    The arguments are checked when this is called, before the first
+    descriptor is asked for."""
     _check_k(k)
     if d < 1:
         raise RangeLimitError(f"codimension must be positive, got {d}")

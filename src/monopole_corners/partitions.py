@@ -522,38 +522,33 @@ def _chain_orbits_relative(
     finest ranks descending, then types, then restricted-growth words (the
     order of the RGS strings up to 10 blocks).
     """
-    groups: dict[tuple, list[tuple]] = {}
-    # Many keys share a level's type: keep one tuple per type.
-    interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # One walk per forest reads each level's node sizes in leaf order, so a
+    # node is a run of the coarse blocks' members laid end to end; runs never
+    # cross a coarse block and each level strictly refines the next, so the
+    # chains are valid as built.  A level is fixed by its sizes: its partition
+    # and type are built once per call and shared by every chain that has it.
+    elements = [i for b in blocks for i in b]
+    new_partition, new_flag = SetPartition._from_blocks, ChainFlag._canonical
+    levels: dict[tuple[int, ...], tuple[SetPartition, tuple[int, ...]]] = {}
+    groups: dict[tuple, list[tuple[SetPartition, ...]]] = {}
     for forest in _level_forests(k, d, blocks, coarse_rank):
         sizes: list[list[int]] = [[] for _ in range(d)]
         for tower in forest:
             _level_sizes(tower, d, sizes)
-        types = tuple(interned.setdefault(t, t) for t in map(tuple, map(sorted, sizes)))
-        groups.setdefault(types, []).append(forest)
-    # Node sizes come out in leaf order, so each node holds a consecutive run
-    # of the coarse blocks' members laid end to end; runs never cross a
-    # coarse block and each level strictly refines the next, so the flags
-    # are valid as built.
-    elements = [i for b in blocks for i in b]
-    new_partition, new_flag = SetPartition._from_blocks, ChainFlag._canonical
+        keys = tuple(map(tuple, sizes))
+        for level in keys:
+            if level not in levels:
+                ends = itertools.accumulate(level)
+                runs = sorted(tuple(elements[e - n : e]) for n, e in zip(level, ends))
+                levels[level] = new_partition(k, tuple(runs)), tuple(sorted(level))
+        chain, types = zip(*map(levels.__getitem__, keys))
+        groups.setdefault(types, []).append(chain)
+    # Groups hold plain chains, which weigh less than flags; a group's flags
+    # are wrapped only when it is yielded.
     for types in sorted(groups, key=lambda ts: (tuple(-len(t) for t in ts), ts)):
-        flags = []
-        for forest in groups.pop(types):
-            sizes = [[] for _ in range(d)]
-            for tower in forest:
-                _level_sizes(tower, d, sizes)
-            chain = []
-            for level in sizes:
-                runs, pos = [], 0
-                for n in level:
-                    runs.append(tuple(elements[pos : pos + n]))
-                    pos += n
-                runs.sort()
-                chain.append(new_partition(k, tuple(runs)))
-            flags.append(new_flag(k, tuple(chain)))
-        flags.sort(key=lambda f: [p.index for p in f.chain])
-        yield types, flags
+        chains = groups.pop(types)
+        chains.sort(key=lambda c: [p.index for p in c])
+        yield types, [new_flag(k, c) for c in chains]
 
 
 def _level_forests(

@@ -19,6 +19,11 @@ def test_separation_two_points():
     assert C.separation(C.Configuration([(0, 0, 0), (2, 0, 0)])) == 0.5
 
 
+def test_separation_of_one_point_is_the_float_zero():
+    eps = C.separation(C.Configuration([[0, 0, 0]]))
+    assert eps == 0.0 and type(eps) is float
+
+
 def test_separation_equilateral_triangle():
     tri = C.Configuration([(0, 0, 0), (1, 0, 0), (0.5, math.sqrt(3) / 2, 0)])
     assert C.separation(tri) == pytest.approx(3.0, rel=1e-12)
