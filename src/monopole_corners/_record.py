@@ -13,11 +13,23 @@ constructors do not take their slots as arguments.  Equality and hashing are
 written out only by ``SetPartition`` (its word ``index`` alone, for speed),
 ``GaussianRational`` (equal to the numbers it coerces), ``RationalMapPair``
 (without its cache) and, for its dict field, ``ChernWeightSystem``'s hash.
+Each class gets, when it is defined, one ``_values`` that reads its field
+tuple through a single ``operator.attrgetter``; equality, hashing and
+pickling all go through it.
 """
+
+from operator import attrgetter
 
 
 class Record:
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Given one name, the getter returns the bare value, so that is wrapped.
+        names = cls.__slots__
+        get = attrgetter(*names)
+        cls._values = (lambda self: (get(self),)) if len(names) == 1 else (lambda self: get(self))
 
     def __init__(self, *values, **named):
         names = self.__slots__
@@ -29,9 +41,6 @@ class Record:
                             f"each, got {len(values)} of them{extra}")
         for name, value in zip(names, values):
             object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")

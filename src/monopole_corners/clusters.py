@@ -11,7 +11,9 @@ threshold gamma are merged into centroids, and the ball data grows by
 until all surviving centres are pairwise further apart than gamma.  The
 whole recursion is rational in the inputs, so it is run in exact rational
 arithmetic (floats enter exactly); each round's distance comparisons are
-integer comparisons of squared norms on one common denominator.
+integer comparisons of squared norms on one common denominator, and each
+merged centroid is its members' integer coordinates summed over that
+denominator times their number.
 Only the separation functional needs square roots and is reported in
 floating point.
 
@@ -219,7 +221,7 @@ class ClusterDecomposition(Record):
 _FORWARD_CELLS = tuple(o for o in itertools.product((-1, 0, 1), repeat=3) if o > (0, 0, 0))
 
 
-def _threshold_groups(centers: Sequence[FracPoint], gamma: Fraction) -> list[tuple[int, ...]]:
+def _threshold_groups(centers: Sequence[FracPoint], gamma: Fraction) -> tuple[list, list, int]:
     """Connected components of the graph joining centres at distance <= gamma.
 
     This is the finest partition in which every gamma-neighbourhood lies in
@@ -227,6 +229,8 @@ def _threshold_groups(centers: Sequence[FracPoint], gamma: Fraction) -> list[tup
     one common denominator, so each test is an integer comparison, and
     bucketed into cubes of side gamma: centres within gamma of each other
     lie in the same or adjacent cubes, so only those pairs are tested.
+    Returns the groups, and the centres' integer coordinates with their
+    common denominator, on which the merged centres are summed exactly.
     """
     scale = math.lcm(gamma.denominator, *(x.denominator for p in centers for x in p))
     g = gamma.numerator * (scale // gamma.denominator)
@@ -249,12 +253,7 @@ def _threshold_groups(centers: Sequence[FracPoint], gamma: Fraction) -> list[tup
             (xi, yi, zi), (xj, yj, zj) = pts[i], pts[j]
             if (xi - xj) ** 2 + (yi - yj) ** 2 + (zi - zj) ** 2 <= g2:
                 parent[find_root(parent, i)] = find_root(parent, j)
-    return [tuple(group) for group in group_by_root(parent, range(n))]
-
-
-def _centroid(points: Sequence[FracPoint]) -> FracPoint:
-    n = len(points)
-    return tuple(sum(p[c] for p in points) / n for c in range(3))
+    return [tuple(group) for group in group_by_root(parent, range(n))], pts, scale
 
 
 def _reported(x: Fraction, what: str) -> float:
@@ -284,7 +283,7 @@ def taubes_cluster(inp: StrongFieldInput) -> ClusterDecomposition:
     history: list[ClusterRound] = []
     t = 0
     while True:
-        groups = _threshold_groups(centers, g_t)
+        groups, pts, scale = _threshold_groups(centers, g_t)
         if all(len(g) == 1 for g in groups):
             history.append(ClusterRound(t, d_t, r_t, g_t, tuple(centers), None))
             break
@@ -293,7 +292,8 @@ def taubes_cluster(inp: StrongFieldInput) -> ClusterDecomposition:
         d_next = (max_block - 1) * g_t + 2 * r_t
         r_next = d_next + 1
         g_next = 3 * r_next - d_next / 2
-        centers = [_centroid([centers[i] for i in g]) for g in groups]
+        centers = [tuple(Fraction(sum(xs), len(g) * scale) for xs in zip(*map(pts.__getitem__, g)))
+                   for g in groups]
         blocks = [
             tuple(sorted(itertools.chain.from_iterable(blocks[i] for i in g)))
             for g in groups

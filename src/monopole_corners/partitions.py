@@ -14,7 +14,6 @@ Everything here is immutable after construction.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -414,37 +413,6 @@ def integer_partitions(k: int) -> list[IntegerPartition]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _refines_integer(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    if sum(a) != sum(b):
-        return False
-    if len(a) < len(b):
-        return False
-    if len(b) == 1:
-        return True
-    target = b[-1]
-    rest_b = b[:-1]
-    n = len(a)
-
-    def choose(idx: int, remaining: int, chosen: list[int]) -> bool:
-        if remaining == 0:
-            left = tuple(a[i] for i in range(n) if i not in set(chosen))
-            return _refines_integer(left, rest_b)
-        prev = None
-        for i in range(idx, n):
-            if a[i] > remaining or a[i] == prev:
-                continue
-            prev = a[i]
-            chosen.append(i)
-            if choose(i + 1, remaining - a[i], chosen):
-                chosen.pop()
-                return True
-            chosen.pop()
-        return False
-
-    return choose(0, target, [])
-
-
 def refines_integer_partition(a: IntegerPartition, b: IntegerPartition) -> bool:
     """True iff b is obtained from a by grouping (bracketing) parts of a.
 
@@ -452,7 +420,42 @@ def refines_integer_partition(a: IntegerPartition, b: IntegerPartition) -> bool:
     """
     if a.total != b.total:
         raise ValueError("integer partitions of different totals")
-    return _refines_integer(a.parts, b.parts)
+    # The memo lives for this call only: nothing refers back to it.
+    return _refines_integer(a.parts, b.parts, {})
+
+
+def _refines_integer(a: tuple[int, ...], b: tuple[int, ...], memo: dict) -> bool:
+    """Whether ascending parts a, of the same total as b, group into b: some
+    parts of a make up b's largest part and the rest group into the rest of
+    b.  `memo` holds the (a, b) pairs already decided."""
+    if len(a) < len(b):
+        return False
+    if len(b) == 1:
+        return True
+    got = memo.get((a, b))
+    if got is None:
+        got = memo[a, b] = _group_largest(a, b[:-1], b[-1], 0, [], memo)
+    return got
+
+
+def _group_largest(a, rest_b, remaining: int, idx: int, chosen: list[int], memo: dict) -> bool:
+    """Whether parts a[i], i >= idx, each multiset of them tried once, add up
+    to `remaining` so that the parts of a outside `chosen` group into rest_b."""
+    if remaining == 0:
+        taken = set(chosen)
+        return _refines_integer(tuple(x for i, x in enumerate(a) if i not in taken), rest_b, memo)
+    prev = None
+    for i in range(idx, len(a)):
+        if a[i] > remaining:  # a ascends: no later part fits either
+            break
+        if a[i] != prev:
+            prev = a[i]
+            chosen.append(i)
+            found = _group_largest(a, rest_b, remaining - a[i], i + 1, chosen, memo)
+            chosen.pop()
+            if found:
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +484,6 @@ def refines_integer_partition(a: IntegerPartition, b: IntegerPartition) -> bool:
 
 def _tower_size(t) -> int:
     return t if isinstance(t, int) else sum(_tower_size(c) for c in t)
-
-
-@lru_cache(maxsize=None)
-def _leaf_refinements(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(parts descending, part count) for each integer partition of n."""
-    return tuple((tuple(reversed(p.parts)), len(p)) for p in integer_partitions(n))
 
 
 def _tower_refinements(tower, memo: dict, keep: bool = True) -> Sequence[tuple]:
@@ -557,7 +554,10 @@ def _level_forests(
     """The level-d forests below the given coarse blocks, one tower per
     block, each orbit once, depth first."""
     sizes = tuple(map(len, blocks))
-    memo: dict = {n: _leaf_refinements(n) for n in range(1, max(sizes) + 1)}
+    # A leaf n refines to each integer partition of n, as (parts descending,
+    # part count); these seed the memo that lives as long as the generator.
+    memo: dict = {n: tuple((p.parts[::-1], len(p)) for p in integer_partitions(n))
+                  for n in range(1, max(sizes) + 1)}
     # Not a self-calling closure, a cycle that would keep the memo past the end.
     return _forests_below(sizes, coarse_rank, k - d + 1, k, memo, len(blocks) > 1)
 

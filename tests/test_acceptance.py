@@ -144,9 +144,16 @@ def test_criterion_07_gibbons_manton_splitting():
             )
             for lam in parts:
                 for mu in coarsenings[lam]:
+                    w_lm = GM.weight_system(lam, mu).weights
                     for nu in coarsenings[mu]:
                         result = GM.restriction_splits(lam, mu, nu)
                         assert result.splits, (lam, mu, nu)
+                        w_ln = GM.weight_system(lam, nu).weights
+                        assert result.parts.keys() == w_ln.keys(), (lam, mu, nu)
+                        for rep, (fine, pushed) in result.parts.items():
+                            assert fine == w_lm[rep], (lam, mu, nu, rep)
+                            assert not fine.keys() & pushed.keys(), (lam, mu, nu, rep)
+                            assert {**fine, **pushed} == w_ln[rep], (lam, mu, nu, rep)
                         checked += 1
         assert checked == expected_chains == 8868
 

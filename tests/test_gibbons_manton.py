@@ -74,14 +74,23 @@ def test_block_invariance():
 
 
 def test_splitting_exhaustive_k5():
+    # The witness's halves are the (lam, mu) weights and the pushed (mu, nu)
+    # weights, disjoint, and together the (lam, nu) weights of every block.
     checked = 0
     for k in range(3, 6):
         parts = P.all_partitions(k)
         for lam, mu in strict_flags(k):
+            w_lm = GM.weight_system(lam, mu).weights
             for nu in parts:
                 if mu != nu and P.refines(mu, nu):
                     res = GM.restriction_splits(lam, mu, nu)
                     assert res.splits, (lam, mu, nu)
+                    w_ln = GM.weight_system(lam, nu).weights
+                    assert res.parts.keys() == w_ln.keys(), (lam, mu, nu)
+                    for rep, (fine, pushed) in res.parts.items():
+                        assert fine == w_lm[rep], (lam, mu, nu, rep)
+                        assert not fine.keys() & pushed.keys(), (lam, mu, nu, rep)
+                        assert {**fine, **pushed} == w_ln[rep], (lam, mu, nu, rep)
                     checked += 1
     assert checked > 500
 

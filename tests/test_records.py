@@ -17,6 +17,7 @@ from monopole_corners import gibbons_manton as GM
 from monopole_corners import manybody as MB
 from monopole_corners import partitions as P
 from monopole_corners import ratmaps as R
+from monopole_corners._record import Record
 from monopole_corners.partitions import ChainFlag, IntegerPartition, SetPartition
 
 LAM = SetPartition(3, [[1, 2], [3]])
@@ -155,6 +156,17 @@ def test_value_classes_copy_pickle_and_refuse_changes(value):
     with pytest.raises(AttributeError):
         value.not_a_field = 1
     assert [(name, getattr(value, name)) for name, _ in fields] == fields
+
+
+def test_values_are_the_slot_values_of_every_record():
+    records = [_build(cls, fields) for cls, fields, _ in RECORDS] + VALUES
+    assert {type(rec) for rec in records} == set(Record.__subclasses__())
+    single = [rec for rec in records if len(type(rec).__slots__) == 1]
+    assert {type(rec) for rec in single} == {IntegerPartition, R.Phase}
+    for rec in records:
+        values = rec._values()
+        assert type(values) is tuple, type(rec)
+        assert values == tuple(getattr(rec, name) for name in type(rec).__slots__), type(rec)
 
 
 def test_phase_tagged_map_keeps_its_phase_and_drops_its_cache():
