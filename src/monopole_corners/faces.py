@@ -21,16 +21,18 @@ from typing import Iterator
 from ._record import Record
 from .errors import RangeLimitError
 from .partitions import (
+    CHAIN_LIMIT,
     IntegerPartition,
     SetPartition,
     _chain_orbits_relative,
+    _leaf_memo,
+    _tower_refinements,
     integer_partitions,
     one_block,
     refines_integer_partition,
 )
 
 ATLAS_K_MIN = 2
-ATLAS_K_MAX = 8
 
 
 class FaceDescriptor(Record):
@@ -71,8 +73,8 @@ class IbfReport(Record):
 
 
 def _check_k(k: int) -> None:
-    if not ATLAS_K_MIN <= k <= ATLAS_K_MAX:
-        raise RangeLimitError(f"k must be in {ATLAS_K_MIN}..{ATLAS_K_MAX}, got {k}")
+    if not ATLAS_K_MIN <= k <= CHAIN_LIMIT:
+        raise RangeLimitError(f"k must be in {ATLAS_K_MIN}..{CHAIN_LIMIT}, got {k}")
 
 
 def iter_corner_atlas(
@@ -128,8 +130,11 @@ def hypersurface_atlas(k: int, nu: SetPartition | None = None) -> list[FaceDescr
 
 def intersection_components(k: int, a: IntegerPartition, b: IntegerPartition) -> int:
     """Number of connected components of the intersection of the two
-    hypersurfaces of types a and b: chain orbits refining one type into the
-    other.  Zero when the types are not comparable.
+    hypersurfaces of types a and b: the codim-2 chain orbits refining one
+    type into the other, zero when the types are not comparable.  It counts
+    the one-level refinements of the coarser type's tower (each part n
+    becomes an integer partition of n, equal parts interchangeable) whose
+    leaves sort to the finer type.
     """
     _check_k(k)
     for t in (a, b):
@@ -141,29 +146,10 @@ def intersection_components(k: int, a: IntegerPartition, b: IntegerPartition) ->
         return 0
     if len(a) < len(b):
         a, b = b, a
-    # The finer type a has more parts.  Assign to each part of b a partition
-    # of it whose multiset union is a; none exists for incomparable types.
-    # Parts of b with equal value get an unordered multiset of partitions.
-    by_value: dict[int, int] = {}
-    for v in b:
-        by_value[v] = by_value.get(v, 0) + 1
-    choices = []
-    for v, mult in sorted(by_value.items()):
-        opts = [tuple(p.parts) for p in integer_partitions(v)]
-        choices.append(list(itertools.combinations_with_replacement(opts, mult)))
-    count = 0
-    for combo in itertools.product(*choices):
-        merged: list[int] = []
-        for group in combo:
-            for p in group:
-                merged.extend(p)
-        if tuple(sorted(merged)) == a.parts:
-            count += 1
-    return count
-
-
-def _proper_types(k: int) -> list[IntegerPartition]:
-    return [t for t in integer_partitions(k) if len(t) >= 2]
+    # a, the finer type, has more parts; b's tower is used once, so not kept.
+    refined = _tower_refinements(b.parts[::-1], _leaf_memo(set(b.parts)), keep=False)
+    return sum(1 for tower, n in refined
+               if n == len(a) and tuple(sorted(itertools.chain(*tower))) == a.parts)
 
 
 def validate_ibf(
@@ -229,21 +215,12 @@ def validate_ibf(
 def cover_schedule(k: int) -> list[tuple[IntegerPartition, int]]:
     """Hypersurface labels in a collar-construction order.
 
-    Labels are graded by depth in the refinement order of proper types
-    (finest type first); labels sharing a depth stage are pairwise
-    incomparable, so their collars may be pushed out simultaneously.
+    Labels are graded by depth in the refinement order of proper types,
+    finest type first.  (1^k) is the one finest type and each cover step
+    merges two parts, so the depth of a type t is k - len(t).  Labels
+    sharing a depth stage have equally many parts, so they are pairwise
+    incomparable, and their collars may be pushed out simultaneously.
     """
     _check_k(k)
-    types = _proper_types(k)
-    depth: dict[IntegerPartition, int] = {}
-
-    def depth_of(t: IntegerPartition) -> int:
-        if t not in depth:
-            below = [
-                s for s in types
-                if s != t and refines_integer_partition(s, t)
-            ]
-            depth[t] = 1 + max((depth_of(s) for s in below), default=-1)
-        return depth[t]
-
-    return sorted(((t, depth_of(t)) for t in types), key=lambda e: (e[1], e[0].parts))
+    return sorted(((t, k - len(t)) for t in integer_partitions(k) if len(t) >= 2),
+                  key=lambda e: (e[1], e[0].parts))

@@ -24,7 +24,7 @@ from .inputs import as_digits, as_int, as_list, as_object
 #: Full enumeration of set partitions is capped here (Bell(12) ~ 4.2e6).
 ENUMERATION_LIMIT = 12
 
-#: Chain-orbit enumeration and flag symmetry orders are capped here.
+#: Chain-orbit enumeration, face atlases and flag symmetry orders are capped here.
 CHAIN_LIMIT = 8
 
 
@@ -398,19 +398,18 @@ def integer_partitions(k: int) -> list[IntegerPartition]:
     """All integer partitions of k, ascending-lexicographic."""
     if k < 1:
         raise RangeLimitError(f"k must be positive, got {k}")
-    out: list[IntegerPartition] = []
+    return [IntegerPartition(p) for p in _ascending_parts(k, 1)]
 
-    def rec(remaining: int, minimum: int, acc: list[int]) -> None:
-        if remaining == 0:
-            out.append(IntegerPartition(acc))
-            return
-        for part in range(minimum, remaining + 1):
-            acc.append(part)
-            rec(remaining - part, part, acc)
-            acc.pop()
 
-    rec(k, 1, [])
-    return out
+def _ascending_parts(remaining: int, minimum: int) -> Iterator[tuple[int, ...]]:
+    """The ascending tuples of parts >= minimum that sum to `remaining`, in
+    lexicographic order.  Not a self-calling closure, a reference cycle that
+    each call would leave to the collector."""
+    if remaining == 0:
+        yield ()
+    for part in range(minimum, remaining + 1):
+        for rest in _ascending_parts(remaining - part, part):
+            yield (part, *rest)
 
 
 def refines_integer_partition(a: IntegerPartition, b: IntegerPartition) -> bool:
@@ -554,12 +553,17 @@ def _level_forests(
     """The level-d forests below the given coarse blocks, one tower per
     block, each orbit once, depth first."""
     sizes = tuple(map(len, blocks))
-    # A leaf n refines to each integer partition of n, as (parts descending,
-    # part count); these seed the memo that lives as long as the generator.
-    memo: dict = {n: tuple((p.parts[::-1], len(p)) for p in integer_partitions(n))
-                  for n in range(1, max(sizes) + 1)}
+    # Leaves up to the largest block occur; the memo lives as long as the generator.
+    memo = _leaf_memo(range(1, max(sizes) + 1))
     # Not a self-calling closure, a cycle that would keep the memo past the end.
     return _forests_below(sizes, coarse_rank, k - d + 1, k, memo, len(blocks) > 1)
+
+
+def _leaf_memo(leaves: Iterable[int]) -> dict:
+    """A `_tower_refinements` memo seeded for the given leaves: a leaf n
+    refines to each integer partition of n, as (parts descending, part
+    count)."""
+    return {n: tuple((p.parts[::-1], len(p)) for p in integer_partitions(n)) for n in leaves}
 
 
 def _forests_below(forest, rank: int, cap: int, k: int, memo: dict, keep: bool) -> Iterator[tuple]:

@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 from pathlib import Path
 
 import pytest
@@ -145,32 +145,60 @@ def test_intersection_components_examples():
 
 
 def brute_pair_orbit_count(k, a, b):
+    """Relabelling orbits of pairs lam < nu of types a and b.  Every such
+    pair is a relabelling of one with nu fixed, and two of those are
+    relabellings of each other exactly when a permutation fixing nu takes
+    one lam to the other."""
     parts = P.all_partitions(k)
-    pairs = set()
-    from itertools import permutations as perms
-
+    nu = next(p for p in parts if P.type_of(p) == b)
+    fixing = [s for s in permutations(range(1, k + 1)) if P.apply_permutation(s, nu) == nu]
+    orbits = set()
     for lam in parts:
-        if P.type_of(lam) != a:
-            continue
-        for nu in parts:
-            if P.type_of(nu) != b or lam == nu or not P.refines(lam, nu):
-                continue
-            key = min(
-                (P.apply_permutation(s, lam).to_rgs(), P.apply_permutation(s, nu).to_rgs())
-                for s in perms(range(1, k + 1))
-            )
-            pairs.add(key)
-    return len(pairs)
+        if P.type_of(lam) == a and lam != nu and P.refines(lam, nu):
+            orbits.add(min(P.apply_permutation(s, lam).to_rgs() for s in fixing))
+    return len(orbits)
 
 
 def test_intersection_components_match_brute_force():
-    for k in (4, 5):
+    for k in (4, 5, 6):
         types = [t for t in P.integer_partitions(k) if len(t) >= 2]
         for a, b in combinations(types, 2):
             if P.refines_integer_partition(b, a):
                 a, b = b, a
             expected = brute_pair_orbit_count(k, a, b)
             assert F.intersection_components(k, a, b) == expected, (k, a, b)
+
+
+def product_intersection_count(k, a, b):
+    """intersection_components by assigning to each part of the coarser
+    type a multiset of integer partitions, one per part of equal value, and
+    counting the assignments whose parts sort to the finer type."""
+    if a == b:
+        return 0
+    if len(a) < len(b):
+        a, b = b, a
+    by_value = {}
+    for v in b:
+        by_value[v] = by_value.get(v, 0) + 1
+    choices = [
+        list(combinations_with_replacement([p.parts for p in P.integer_partitions(v)], mult))
+        for v, mult in sorted(by_value.items())
+    ]
+    count = 0
+    for combo in product(*choices):
+        merged = [x for group in combo for p in group for x in p]
+        count += tuple(sorted(merged)) == a.parts
+    return count
+
+
+def test_intersection_components_match_product_enumerator():
+    pairs = 0
+    for k in range(2, 9):
+        types = [t for t in P.integer_partitions(k) if len(t) >= 2]
+        for a, b in product(types, repeat=2):
+            assert F.intersection_components(k, a, b) == product_intersection_count(k, a, b)
+            pairs += 1
+    assert pairs == 794
 
 
 def test_intersection_components_frozen_k5_value():
@@ -279,6 +307,28 @@ def test_cover_schedule_k4():
     assert sched[0] == (IP([1, 1, 1, 1]), 0)
     assert sched[1] == (IP([1, 1, 2]), 1)
     assert {t for t, d in sched if d == 2} == {IP([1, 3]), IP([2, 2])}
+
+
+def longest_chain_below(types):
+    """Each type's depth: the most steps in a chain of strict refinements
+    among `types` that ends at it."""
+    depth = {}
+
+    def depth_of(t):
+        if t not in depth:
+            below = [s for s in types if s != t and P.refines_integer_partition(s, t)]
+            depth[t] = 1 + max((depth_of(s) for s in below), default=-1)
+        return depth[t]
+
+    return {t: depth_of(t) for t in types}
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_cover_schedule_depths_are_longest_chains(k):
+    sched = F.cover_schedule(k)
+    assert dict(sched) == longest_chain_below([t for t, _ in sched])
+    assert sorted(t.parts for t, _ in sched) == [
+        t.parts for t in P.integer_partitions(k) if len(t) >= 2]
 
 
 def test_cover_schedule_stages_are_antichains():
@@ -432,32 +482,40 @@ def test_streamed_and_listed_atlas_peak_memory():
 
 
 LEAK_PROBE = """
-import tracemalloc
+import gc, tracemalloc
 from monopole_corners import faces
 for face in faces.iter_corner_atlas(8, 5):
     pass
 del face
+gc.collect()
+gc.disable()
 tracemalloc.start()
 for face in faces.iter_corner_atlas(8, 5):
     pass
 del face
+cyclic = gc.collect()  # also empties the free lists before the reading
 print(tracemalloc.get_traced_memory()[0])
 atlas = faces.iter_corner_atlas(8, 5)
 next(atlas)
 atlas.close()
+cyclic += gc.collect()
 print(tracemalloc.get_traced_memory()[0])
+print(cyclic)
 """
 
 
 def test_atlas_state_dies_with_its_generator():
     """The per-atlas level partitions, groups and tower memo are freed when
-    the generator is drained or closed.  After a warm-up drain fills the
-    module caches, a second drain leaves about 62 KB traced, and a generator
-    closed after its first face about 106 KB; paused there it holds about
-    500 KB.  A self-calling closure that keeps the tower memo alive leaves
-    320 KB and 626 KB."""
-    drained, closed = _probe(LEAK_PROBE)
+    the generator is drained or closed, with no reference cycle left for
+    the collector.  After a warm-up drain, and with the collector run
+    before each reading so that CPython's free lists are empty, a second
+    drain leaves 0 B traced, and a generator closed after its first face
+    432 B; paused there it holds about 412 KB.  A self-calling closure that
+    keeps the tower memo alive leaves about 9,000 objects in cycles
+    (without the collector, 328 KB and 642 KB traced)."""
+    drained, closed, cyclic = _probe(LEAK_PROBE)
     assert drained < 256_000 and closed < 256_000, (drained, closed)
+    assert cyclic == 0, cyclic
 
 
 STATELESS_PROBE = """
@@ -483,6 +541,14 @@ def pair(rng):
 faces.corner_atlas(8, 5)
 faces.validate_ibf(8)
 faces.cover_schedule(8)
+types = [t for t in partitions.integer_partitions(8) if len(t) >= 2]
+type_pairs = [(a, b) for a in types for b in types]
+
+def intersections():
+    for a, b in type_pairs:
+        faces.intersection_components(8, a, b)
+
+intersections()
 rng = random.Random(40)
 pairs = {}
 while len(pairs) < 6000:
@@ -493,6 +559,7 @@ pairs = list(pairs)
 def batch(pairs):
     for a, b in pairs:
         partitions.refines_integer_partition(a, b)
+    intersections()
     gc.collect()
 
 batch(pairs[:2000])
@@ -506,17 +573,21 @@ print(tracemalloc.get_traced_memory()[0])
 gc.disable()
 for a, b in pairs[4000:]:
     partitions.refines_integer_partition(a, b)
+intersections()
 print(gc.collect())  # what reference cycles held until now
 """
 
 
 def test_library_keeps_nothing_between_calls():
     """No module holds an lru_cache, and after a warm-up of the atlas,
-    validate-ibf, cover-schedule and 2,000 integer-type refinement tests of
-    total 40, 2,000 new refinement tests leave nothing traced behind, and
-    2,000 more with the cycle collector off leave it no garbage to collect:
-    each call's memo is freed when it returns.  A process-wide cache of the
-    refinement answers grew by about 6.4 MB per batch."""
+    validate-ibf, cover-schedule, intersection_components on every pair of
+    proper types of 8 and 2,000 integer-type refinement tests of total 40,
+    2,000 new refinement tests and the same intersections leave nothing
+    traced behind, and 2,000 more tests and the intersections again, with
+    the cycle collector off, leave it no garbage to collect: each call's
+    memo, the refinement memo or the tower's leaf memo, is freed when it
+    returns.  A process-wide cache of the refinement answers grew by about
+    6.4 MB per batch."""
     cached, grown, cyclic = _probe(STATELESS_PROBE)
     assert cached == 0
     assert grown < 64_000, grown
