@@ -7,7 +7,7 @@ field-wise equality within the exact type; the hash of the field tuple;
 AttributeError on assignment or deletion; and pickle and copy through the
 constructor.  A class writes its own ``__init__``, setting each field with
 ``object.__setattr__``, only to check or normalize its input (the value
-classes and ``StrongFieldComponent``) or to give a default (``IbfReport``).
+classes and ``StrongFieldComponent``).
 ``SetPartition`` and ``RationalMapPair`` override ``__reduce__``, as their
 constructors do not take their slots as arguments.  Equality and hashing are
 written out only by ``SetPartition`` (its word ``index`` alone, for speed),

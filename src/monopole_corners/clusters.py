@@ -380,20 +380,33 @@ def scale_chain(
     distance (clamped below at 1).  All points within base_scale yield the
     empty chain; equal large mutual distances yield the all-singletons
     chain (the free-boundary regime).
+
+    The cuts are decided exactly, on the tree edges' integer squared
+    lengths over the points' common power-of-two denominator.  The tree is
+    grown in floats: a near-tie can only reorder edges of nearly equal
+    length, and a cut needs a gap of ratio above 1 between merges.
     """
-    if not (base_scale > 0 and ratio_threshold > 1):
-        raise ValueError("need base_scale > 0 and ratio_threshold > 1")
+    if not (0 < base_scale < math.inf and 1 < ratio_threshold < math.inf):
+        raise ValueError("need finite base_scale > 0 and ratio_threshold > 1")
     _require_distinct(c.points)
     k = len(c.points)
     if k == 1:
         return ChainFlag(1, [])
     events = _single_linkage_merges(c.points)
-    dists = [1.0] + [d for d, _, _ in events]
+    ratios = [[x.as_integer_ratio() for x in p] for p in c.points]
+    scale = max(den for p in ratios for _, den in p)
+    pts = [[num * (scale // den) for num, den in p] for p in ratios]
+    # sq[m] is the squared m-th merge distance times scale^2; sq[0] stands for the clamp 1.
+    sq = [scale * scale]
+    sq += (sum((a - b) ** 2 for a, b in zip(pts[i - 1], pts[j - 1])) for _, i, j in events)
+    b, bd = Fraction(base_scale).as_integer_ratio()
+    t, td = Fraction(ratio_threshold).as_integer_ratio()
+    floor = (b * scale) ** 2
     # Level m is the partition after the first m merges; it has k - m >= 2
     # blocks for every m < k - 1, so no kept level is the one-block partition.
     kept = [
         m for m in range(k - 1)
-        if dists[m + 1] > base_scale and dists[m + 1] > ratio_threshold * max(dists[m], 1.0)
+        if sq[m + 1] * bd * bd > floor and sq[m + 1] * td * td > t * t * max(sq[m], sq[0])
     ]
     parent = list(range(k + 1))
     chain = []

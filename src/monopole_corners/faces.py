@@ -60,13 +60,6 @@ class IbfReport(Record):
 
     __slots__ = ("k", "edges", "hypersurface_dims", "violations")
 
-    def __init__(self, k: int, edges: tuple[tuple[IntegerPartition, IntegerPartition], ...],
-                 hypersurface_dims: dict, violations: tuple[str, ...] = ()):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "hypersurface_dims", hypersurface_dims)
-        object.__setattr__(self, "violations", violations)
-
     @property
     def ok(self) -> bool:
         return not self.violations
@@ -103,7 +96,7 @@ def _atlas_descriptors(k: int, d: int, nu: SetPartition) -> Iterator[FaceDescrip
     # lengths are the ranks of the chain levels; each level's type is an
     # integer partition of k, one shared object per type.
     by_parts = {t.parts: t for t in integer_partitions(k)}
-    for types, flags in _chain_orbits_relative(k, d, nu.blocks, nu.rank):
+    for types, flags in _chain_orbits_relative(k, d, nu.blocks):
         ranks = [*map(len, types), nu.rank]
         fiber = 4 * k - 3 * ranks[0]
         bases = tuple(3 * (ranks[i] - ranks[i + 1]) - 1 for i in range(d))
@@ -146,8 +139,8 @@ def intersection_components(k: int, a: IntegerPartition, b: IntegerPartition) ->
         return 0
     if len(a) < len(b):
         a, b = b, a
-    # a, the finer type, has more parts; b's tower is used once, so not kept.
-    refined = _tower_refinements(b.parts[::-1], _leaf_memo(set(b.parts)), keep=False)
+    # a, the finer type, has more parts.
+    refined = _tower_refinements(b.parts[::-1], _leaf_memo(set(b.parts)))
     return sum(1 for tower, n in refined
                if n == len(a) and tuple(sorted(itertools.chain(*tower))) == a.parts)
 

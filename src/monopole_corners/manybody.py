@@ -27,15 +27,14 @@ from .inputs import as_int, as_list, as_object
 class ManyBodyStructure:
     """Labelled subspace family with dimensions and a (partial) meet.
 
-    The meet is given as a table, either a mapping from label pairs or
-    (a, b, meet) triples, or as a function of two distinct labels that
-    returns their meet, or None when there is none.  A meet is symmetric,
-    meet(a, b) == meet(b, a), so :func:`validate` asks each unordered pair
-    once, in label order, and keeps the answers in an n x n index table
-    (about 3 MB for the 877 labels at k = 7).  The partial order is derived
-    from the meet: a <= b iff meet(a, b) == a.  A missing meet, or one
-    outside the family, is reported by :func:`validate` as an
-    intersection-closure violation.
+    The meet is given in one of two forms: a table of (a, b, meet) triples,
+    or a function of two distinct labels that returns their meet, or None
+    when there is none.  A meet is symmetric, meet(a, b) == meet(b, a), so
+    :func:`validate` asks each unordered pair once, in label order, and
+    keeps the answers in an n x n index table (about 3 MB for the 877
+    labels at k = 7).  The partial order is derived from the meet: a <= b
+    iff meet(a, b) == a.  A missing meet, or one outside the family, is
+    reported by :func:`validate` as an intersection-closure violation.
     """
 
     __slots__ = ("ambient_dim", "dims", "_meet")
@@ -44,11 +43,7 @@ class ManyBodyStructure:
         self,
         ambient_dim: int,
         dims: Mapping[str, int],
-        meets: (
-            Mapping[frozenset, str]
-            | Iterable[tuple[str, str, str]]
-            | Callable[[str, str], str | None]
-        ),
+        meets: Iterable[tuple[str, str, str]] | Callable[[str, str], str | None],
     ):
         ambient_dim = as_int(ambient_dim, "ambient dimension", 0)
         self_dims = {}
@@ -61,9 +56,8 @@ class ManyBodyStructure:
             meet = meets
         else:
             table: dict[frozenset, str] = {}
-            items = meets.items() if isinstance(meets, Mapping) else ((frozenset((a, b)), c) for a, b, c in meets)
-            for key, value in items:
-                pair = frozenset(key)
+            for a, b, value in meets:
+                pair = frozenset((a, b))
                 if not pair <= self_dims.keys() or value not in self_dims:
                     raise ValueError(f"meet entry {sorted(pair)} -> {value} uses unknown labels")
                 table[pair] = value
@@ -188,10 +182,11 @@ def diagonal_structure(k: int, m: int) -> ManyBodyStructure:
     the partitions.  Each partition has an integer id and a canonical key,
     the sorted tuple of its block bitmasks.  The meet of a and b starts at
     a's id and merges in b's non-singleton blocks one at a time; each step
-    reads a flat memo `merged[id * 2**k + mask]` (-1: not yet computed), and
-    a miss does one block merge and one key lookup.  The memo holds at most
-    Bell(k)*(2^k - k - 1) entries (877 * 120 at k = 7), never a Bell(k)^2
-    table, and construction computes no merge.
+    reads the memo `merged[id][mask]` (-1: not yet computed), and a miss
+    does one block merge and one key lookup.  A partition's row of 2**k
+    slots is made at its first merge, so construction allocates no slot
+    and computes no merge, and the memo never exceeds Bell(k) rows (877 at
+    k = 7), never a Bell(k)^2 table.
     """
     if k < 2:
         raise ValueError(f"need at least two points, got k={k}")
@@ -211,15 +206,17 @@ def diagonal_structure(k: int, m: int) -> ManyBodyStructure:
         id_of_label[label] = i
         blocks_of[label] = [mb for mb in masks if mb & (mb - 1)]
     id_of = {key: i for i, key in enumerate(keys)}
-    merged = [-1] * (len(keys) << k)
+    merged: list[list[int] | None] = [None] * len(keys)
 
     def meet(a: str, b: str) -> str:
         i = id_of_label[a]
         for mb in blocks_of[b]:
-            slot = i << k | mb
-            j = merged[slot]
+            row = merged[i]
+            if row is None:
+                row = merged[i] = [-1] * (1 << k)
+            j = row[mb]
             if j < 0:
-                j = merged[slot] = id_of[partitions.merge_block(keys[i], mb)]
+                j = row[mb] = id_of[partitions.merge_block(keys[i], mb)]
             i = j
         return labels[i]
 

@@ -434,6 +434,8 @@ def test_scale_chain_parameter_validation():
         C.scale_chain(cfg, base_scale=0, ratio_threshold=4)
     with pytest.raises(ValueError):
         C.scale_chain(cfg, base_scale=1, ratio_threshold=1)
+    with pytest.raises(ValueError):  # the cut rule takes exact ratios
+        C.scale_chain(cfg, base_scale=math.inf, ratio_threshold=4)
 
 
 def test_boundary_coords_example():
@@ -489,7 +491,7 @@ def test_rounds_csv_shape():
     assert lines[2].startswith("1,") and lines[2].endswith(",1")
 
 
-def kruskal(points):
+def kruskal(points, dist=math.dist):
     """Single linkage by brute force: sort all pairs and run Kruskal.
     Returns the merge distances and the partition before each merge."""
     k = len(points)
@@ -500,7 +502,7 @@ def kruskal(points):
             x = parent[x]
         return x
 
-    pairs = sorted((math.dist(points[i - 1], points[j - 1]), i, j)
+    pairs = sorted((dist(points[i - 1], points[j - 1]), i, j)
                    for i, j in combinations(range(1, k + 1), 2))
     dists, levels = [], []
     for d, i, j in pairs:
@@ -514,12 +516,30 @@ def kruskal(points):
     return dists, levels
 
 
-def kruskal_chain(points, base_scale, ratio_threshold):
-    """scale_chain's cut rule applied to the brute-force merges."""
-    dists, levels = kruskal(points)
-    dists = [1.0] + dists
+def exact_chain(points, base_scale, ratio_threshold):
+    """scale_chain's cut rule in Fractions: the brute-force merges' squared
+    distances against the squared base scale and ratio."""
+    sq, levels = kruskal([tuple(map(Fraction, p)) for p in points], dist=dist2)
+    sq = [1] + sq
+    b2, t2 = Fraction(base_scale) ** 2, Fraction(ratio_threshold) ** 2
     return [levels[m] for m in range(len(points) - 1)
-            if dists[m + 1] > base_scale and dists[m + 1] > ratio_threshold * max(dists[m], 1.0)]
+            if sq[m + 1] > b2 and sq[m + 1] > t2 * max(sq[m], 1)]
+
+
+@pytest.mark.parametrize("points, base, ratio, want", [
+    # Merges at sqrt(3) and sqrt(75) = 5 sqrt(3): the ratio is 5, not above it,
+    # though the float sqrt(75) exceeds 5 times the float sqrt(3).
+    ([(0, 0, 0), (1, 1, 1), (6, 6, 6)], 1, 5, []),
+    # Merges at sqrt(104) and sqrt(234) = 1.5 sqrt(104): only the first cuts.
+    ([(10, 0, 5), (0, 15, 0), (0, 0, 3)], 1, 1.5, ["012"]),
+    # The first merge is at 5, equal to the base scale, so it is no cut.
+    ([(0, 0, 0), (3, 4, 0), (300, 400, 0)], 5, 4, ["001"]),
+    ([(0, 0, 0), (3, 4, 0), (300, 400, 0)], 4.5, 4, ["012", "001"]),
+])
+def test_scale_chain_cuts_exactly_on_ties(points, base, ratio, want):
+    flag = C.scale_chain(C.Configuration(points), base, ratio)
+    assert [p.to_rgs() for p in flag] == want
+    assert list(flag) == exact_chain(points, base, ratio)
 
 
 def lattice(rng, n, scales):
@@ -550,7 +570,7 @@ def test_scale_chain_matches_sorted_pairs_kruskal_on_lattices():
             assert find_root(parent, i) != find_root(parent, j)
             parent[find_root(parent, i)] = find_root(parent, j)
         for base, ratio in cuts:
-            assert list(C.scale_chain(cfg, base, ratio)) == kruskal_chain(cfg.points, base, ratio)
+            assert list(C.scale_chain(cfg, base, ratio)) == exact_chain(cfg.points, base, ratio)
 
 
 def coords_by_pair_scan(points, flag):

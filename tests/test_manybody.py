@@ -189,6 +189,21 @@ def test_diagonal_validate_peak_memory():
     assert int(proc.stdout) < 8_000_000
 
 
+def test_diagonal_memo_rows_are_made_on_first_use():
+    # A memo of Bell(8) * 2^8 slots made up front would alone take 8.5 MB.
+    probe = ("import tracemalloc\n"
+             "from monopole_corners import manybody as MB\n"
+             "tracemalloc.start()\n"
+             "ws = MB.diagonal_structure(8, 1)\n"
+             "labels = ws.labels\n"
+             "assert ws.meet(labels[1], labels[-2]) == labels[0]\n"
+             "print(tracemalloc.get_traced_memory()[1])\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 5_000_000
+
+
 def test_containment_matches_refinement_exhaustively():
     for k in range(2, 6):
         ws = MB.diagonal_structure(k, 3)

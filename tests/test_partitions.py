@@ -112,6 +112,19 @@ def test_all_partitions_bytes_per_partition():
     assert held < 340
 
 
+def test_iter_partitions_leaves_no_cycles():
+    # A self-calling closure left its cells, open blocks and word in a
+    # cycle per call: 10 objects for all_partitions(5).
+    cyclic = _traced("import gc\n"
+                     "gc.collect()\n"
+                     "gc.disable()\n"
+                     "for k in range(1, 8):\n"
+                     "    P.all_partitions(k)\n"
+                     "    next(P.iter_partitions(k))\n"
+                     "print(gc.collect())\n")
+    assert cyclic == 0
+
+
 def test_canonical_representation_is_unique():
     a = SetPartition(4, [[3], [1, 2, 4]])
     b = SetPartition(4, [[4, 2, 1], [3]])
@@ -448,7 +461,7 @@ def test_k9_chain_orbits_match_oracle(sizes):
         start += n
     counts = K9_ORBIT_COUNTS[sizes]
     for d, want in enumerate(counts, start=1):
-        flags = [f for _, group in P._chain_orbits_relative(9, d, tuple(blocks), len(blocks))
+        flags = [f for _, group in P._chain_orbits_relative(9, d, tuple(blocks))
                  for f in group]
         assert len(flags) == chain_orbit_oracle(sizes, d) == want
         assert len({tuple(p.index for p in f.chain) for f in flags}) == want
@@ -460,7 +473,7 @@ def test_chain_orbit_drain_peak_memory():
     # is not memoized, and the groups hold chains of shared level partitions:
     # about 3.8 MB, against 4.3 MB when the groups held the forests and 6.6 MB
     # when each level's forests were held in a dict.
-    peak = _traced("for _ in P._chain_orbits_relative(9, 5, (tuple(range(1, 10)),), 1):\n"
+    peak = _traced("for _ in P._chain_orbits_relative(9, 5, (tuple(range(1, 10)),)):\n"
                    "    pass\n"
                    "print(tracemalloc.get_traced_memory()[1])\n")
     assert peak < 4_800_000
@@ -587,10 +600,21 @@ def test_flag_symmetry_orders_match_permutation_count():
     assert n_flags == 359
 
 
-def test_flag_symmetry_orders_range_limit():
-    assert P.flag_symmetry_orders(P.singletons(8), P.one_block(8)).order_sym0 == 40320
-    with pytest.raises(RangeLimitError):
-        P.flag_symmetry_orders(P.singletons(9), P.one_block(9))
+def test_flag_symmetry_orders_past_chain_limit():
+    # A closed product formula with nothing to enumerate, so no k ceiling.
+    fo = P.flag_symmetry_orders
+    assert P.CHAIN_LIMIT < 9
+    assert fo(P.singletons(9), P.one_block(9)) == P.FlagSymmetryOrders(362880, 362880)
+    # (2,2) in one nu-block, five singletons in the other: 2! * 5!, no swap.
+    lam = SetPartition(9, [[1, 2], [3, 4], [5], [6], [7], [8], [9]])
+    assert fo(lam, SetPartition(9, [[1, 2, 3, 4], [5, 6, 7, 8, 9]])) == P.FlagSymmetryOrders(240, 240)
+    halves = SetPartition(10, [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]])
+    assert fo(P.singletons(10), halves) == P.FlagSymmetryOrders(120 * 120, 120 * 120 * 2)
+    # (1,2), (1,2), (2,2): only the last nu-block has equal lam-blocks, and
+    # the first two nu-blocks hold the same sizes, so they swap.
+    lam = SetPartition(10, [[1], [2, 3], [4], [5, 6], [7, 8], [9, 10]])
+    nu = SetPartition(10, [[1, 2, 3], [4, 5, 6], [7, 8, 9, 10]])
+    assert fo(lam, nu) == P.FlagSymmetryOrders(2, 4)
 
 
 def test_refines_integer_partition():

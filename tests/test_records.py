@@ -212,10 +212,11 @@ def test_many_body_structure_copies_as_itself():
         assert ws.dims[ws.zero_label()] == 0
 
 
-def test_ibf_report_violations_default_to_empty():
-    report = F.IbfReport(k=2, edges=(), hypersurface_dims={})
-    assert report.violations == () and report.ok
+def test_ibf_report_ok_iff_no_violations():
+    report = F.IbfReport(k=2, edges=(), hypersurface_dims={}, violations=())
+    assert report.ok
     assert repr(report) == "IbfReport(k=2, edges=(), hypersurface_dims={}, violations=())"
+    assert not F.IbfReport(2, (), {}, ("v",)).ok
 
 
 def test_literal_reprs():
