@@ -340,29 +340,30 @@ def _single_linkage_merges(points: Sequence[Point]) -> list[tuple[float, int, in
     order: each joins the clusters of points i and j, and the last joins all.
 
     The events are the edges of a minimum spanning tree, grown by Prim's
-    O(n^2) pass and then sorted.  With tied distances the tree may differ
+    O(n^2) pass, in which each point outside the tree keeps its nearest
+    tree point, and then sorted.  With tied distances the tree may differ
     from the one a sorted pass over all pairs picks, but every minimum
     spanning tree has the same sorted distances and the same partition
-    after all merges up to any distance.
+    after all merges up to any distance.  A shortest remaining distance
+    beyond the float range is refused: all such edges read inf alike.
     """
-    tree = [points[0]]
-    labels = [1]
     rest = list(range(2, len(points) + 1))
     best = [math.dist(points[0], points[j - 1]) for j in rest]
+    near = [1] * len(rest)
     events = []
     while rest:
-        m = best.index(min(best))
-        dist, j = best[m], rest[m]
-        p = points[j - 1]
-        i = labels[list(map(math.dist, tree, itertools.repeat(p))).index(dist)]
+        dist = min(best)
+        if dist == math.inf:
+            raise ValueError("a distance between the points exceeds the floating-point range")
+        m = best.index(dist)
+        i, j = near[m], rest[m]
         events.append((dist, min(i, j), max(i, j)))
-        tree.append(p)
-        labels.append(j)
-        rest[m], best[m] = rest[-1], best[-1]
-        rest.pop()
-        best.pop()
-        near = map(math.dist, itertools.repeat(p), (points[u - 1] for u in rest))
-        best = list(map(min, best, near))
+        rest[m], best[m], near[m] = rest[-1], best[-1], near[-1]
+        del rest[-1], best[-1], near[-1]
+        p = points[j - 1]
+        for m, d in enumerate(map(math.dist, itertools.repeat(p), (points[u - 1] for u in rest))):
+            if d < best[m]:
+                best[m], near[m] = d, j
     events.sort()
     return events
 
@@ -384,7 +385,8 @@ def scale_chain(
     The cuts are decided exactly, on the tree edges' integer squared
     lengths over the points' common power-of-two denominator.  The tree is
     grown in floats: a near-tie can only reorder edges of nearly equal
-    length, and a cut needs a gap of ratio above 1 between merges.
+    length, and a cut needs a gap of ratio above 1 between merges.  That
+    needs the tree's distances to fit a float; others are refused.
     """
     if not (0 < base_scale < math.inf and 1 < ratio_threshold < math.inf):
         raise ValueError("need finite base_scale > 0 and ratio_threshold > 1")
@@ -426,7 +428,7 @@ def boundary_coords(c: Configuration, chain: ChainFlag) -> list[float]:
     level j (level d+1 being the one-block partition), the coordinates are
     1/sigma_1 followed by the successive scale ratios sigma_{j-1}/sigma_j.
     A leading all-singletons entry carries no scale information and is
-    skipped.
+    skipped.  A distance or coordinate beyond the float range is refused.
     """
     k = len(c.points)
     if chain.k != k:
@@ -446,7 +448,12 @@ def boundary_coords(c: Configuration, chain: ChainFlag) -> list[float]:
             for i, j in itertools.combinations(b, 2)
             if prev[i - 1] != prev[j - 1]
         )
-        coords.append(1.0 / sigma if sigma_prev is None else sigma_prev / sigma)
+        if sigma == math.inf:
+            raise ValueError("a distance between the points exceeds the floating-point range")
+        coord = 1.0 / sigma if sigma_prev is None else sigma_prev / sigma
+        if coord == math.inf:
+            raise ValueError("a boundary coordinate exceeds the floating-point range")
+        coords.append(coord)
         prev = lam.index
         sigma_prev = sigma
     return coords

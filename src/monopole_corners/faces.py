@@ -170,9 +170,10 @@ def validate_ibf(
         corners_by_types.setdefault(c.integer_types, []).append(c)
     edges = []
     for a, b in itertools.combinations(sorted(by_type, key=lambda t: t.parts), 2):
-        if refines_integer_partition(b, a):
+        # Only a type with more parts can refine another.
+        if len(a) < len(b):
             a, b = b, a
-        elif not refines_integer_partition(a, b):
+        if len(a) == len(b) or not refines_integer_partition(a, b):
             continue
         ha, hb = by_type[a], by_type[b]
         edges.append((a, b))

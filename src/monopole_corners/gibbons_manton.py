@@ -22,7 +22,9 @@ from math import gcd
 from typing import Sequence
 
 from ._record import Record
-from .partitions import IntegerPartition, SetPartition, apply_permutation, blocks_within, refines
+from .partitions import (
+    IntegerPartition, SetPartition, _check_strict, apply_permutation, blocks_within,
+)
 
 
 class ChernWeightSystem(Record):
@@ -71,18 +73,9 @@ class ChernWeightSystem(Record):
         }
 
 
-def _check_flag(lam: SetPartition, nu: SetPartition) -> None:
-    if lam.k != nu.k:
-        raise ValueError("partitions have different ground sets")
-    if lam == nu:
-        raise ValueError("flag must be strict: lam != nu")
-    if not refines(lam, nu):
-        raise ValueError(f"{lam} does not refine {nu}")
-
-
 def weight_system(lam: SetPartition, nu: SetPartition) -> ChernWeightSystem:
     """The Chern-weight system of the strict flag lam < nu."""
-    _check_flag(lam, nu)
+    _check_strict(lam, nu)
     groups = blocks_within(lam, nu)
     return ChernWeightSystem(lam.k, lam, nu, {
         b[0]: {b2[0]: 2 * len(b2) for b2 in groups[nu.index[b[0] - 1]] if b2 is not b}
@@ -112,8 +105,8 @@ def restriction_splits(lam: SetPartition, mu: SetPartition, nu: SetPartition) ->
     `splits` is always True; the tests check the halves against
     `weight_system(lam, mu)` and `weight_system(lam, nu)`.
     """
-    _check_flag(lam, mu)
-    _check_flag(mu, nu)
+    _check_strict(lam, mu)
+    _check_strict(mu, nu)
     lam_by_mu = blocks_within(lam, mu)
     mu_by_nu = blocks_within(mu, nu)
     parts = {}

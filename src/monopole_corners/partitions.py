@@ -223,8 +223,7 @@ class ChainFlag(Record):
             if p.is_one_block() and k > 1:
                 raise ChainError("chain entries must be proper partitions")
         for a, b in zip(entries, entries[1:]):
-            if a == b or not refines(a, b):
-                raise ChainError(f"{a} does not strictly refine {b}")
+            _check_strict(a, b)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "chain", entries)
 
@@ -303,6 +302,12 @@ def refines(lam: SetPartition, mu: SetPartition) -> bool:
     if lam.k != mu.k:
         raise ValueError("partitions have different ground sets")
     return len(set(zip(lam.index, mu.index))) == len(lam.blocks)
+
+
+def _check_strict(lam: SetPartition, nu: SetPartition) -> None:
+    """Raise ChainError unless lam strictly refines nu."""
+    if lam == nu or not refines(lam, nu):
+        raise ChainError(f"{lam} does not strictly refine {nu}")
 
 
 def blocks_within(lam: SetPartition, nu: SetPartition) -> list[list[tuple[int, ...]]]:
@@ -651,10 +656,7 @@ def flag_symmetry_orders(lam: SetPartition, nu: SetPartition) -> FlagSymmetryOrd
     inside a lam-block are factored out), so their orders are products of
     factorials of these multiplicities.
     """
-    if lam.k != nu.k:
-        raise ValueError("partitions have different ground sets")
-    if lam == nu or not refines(lam, nu):
-        raise ValueError("need a strict flag: lam strictly finer than nu")
+    _check_strict(lam, nu)
     groups = blocks_within(lam, nu)
     sym0 = _multiplicity_factorials((n, len(b)) for n, g in enumerate(groups) for b in g)
     sym = sym0 * _multiplicity_factorials(tuple(sorted(map(len, g))) for g in groups)

@@ -101,14 +101,15 @@ class GaussianRational(Record):
         return self.re == 0 and self.im == 0
 
     def __eq__(self, other) -> bool:
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # A real value hashes like the int or Fraction it equals, as complex does.
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __complex__(self) -> complex:
         return complex(self.re, self.im)

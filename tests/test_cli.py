@@ -182,6 +182,28 @@ def test_coords(tmp_path, capsys):
     assert json.loads(out) == [0.5, 0.25]
 
 
+_OVERFLOWING = [[-1e308, 0, 0], [1e308, 1.7e308, 0], [1e308, 0, 0]]
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)])
+def test_chain_refuses_distances_beyond_the_float_range(tmp_path, capsys, order):
+    src = tmp_path / "pts.json"
+    src.write_text(json.dumps({"points": [_OVERFLOWING[i] for i in order]}))
+    argv = ["chain", "--input", str(src), "--base-scale", "1", "--ratio-threshold", "1.3"]
+    assert_one_line_error(*run_cli(capsys, *argv), "floating-point range")
+
+
+@pytest.mark.parametrize("points", [
+    [[1e308, 0, 0], [-1e308, 0, 0], [0, 1.7e308, 1.7e308]],  # an overflowed distance
+    [[0, 0, 0], [5e-324, 0, 0], [1, 0, 0]],  # 1 / 5e-324 overflows
+])
+def test_coords_refuses_values_beyond_the_float_range(tmp_path, capsys, points):
+    src = tmp_path / "pts.json"
+    src.write_text(json.dumps({"points": points}))
+    argv = ["coords", "--input", str(src), "--chain", "001"]
+    assert_one_line_error(*run_cli(capsys, *argv), "floating-point range")
+
+
 def test_resultant_k1_sample(capsys):
     code, out, _ = run_cli(capsys, "resultant", "--phi", "1", "--psi", "0")
     assert code == 0
@@ -374,6 +396,8 @@ def test_gm_pipe_form(capsys):
 def test_gm_rejects_non_flag(capsys):
     code, _, err = run_cli(capsys, "gm", "--lambda", "000", "--nu", "001")
     assert code == 2 and "error" in err
+    code, _, err = run_cli(capsys, "gm", "--lambda", "0", "--nu", "0")
+    assert code == 2 and err == "error: {{1}} does not strictly refine {{1}}\n"
 
 
 def test_torus_group(capsys):

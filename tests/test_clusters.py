@@ -573,6 +573,17 @@ def test_scale_chain_matches_sorted_pairs_kruskal_on_lattices():
             assert list(C.scale_chain(cfg, base, ratio)) == exact_chain(cfg.points, base, ratio)
 
 
+def test_scale_chain_measures_each_pair_once(monkeypatch):
+    rng = random.Random(5)
+    kernel, calls = math.dist, []
+    monkeypatch.setattr(math, "dist", lambda p, q: calls.append(1) or kernel(p, q))
+    for n in (2, 3, 17, 60):
+        calls.clear()
+        pts = [(rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(n)]
+        C.scale_chain(C.Configuration(pts))
+        assert len(calls) == n * (n - 1) // 2
+
+
 def coords_by_pair_scan(points, flag):
     """boundary_coords by testing every pair at every level."""
     k = len(points)

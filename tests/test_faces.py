@@ -241,6 +241,16 @@ def test_validate_ibf_clean():
             assert report.hypersurface_dims[a][0] > report.hypersurface_dims[b][0]
 
 
+def test_validate_ibf_tests_each_type_pair_once(monkeypatch):
+    kernel, calls = P.refines_integer_partition, []
+    monkeypatch.setattr(F, "refines_integer_partition",
+                        lambda a, b: calls.append((a, b)) or kernel(a, b))
+    F.validate_ibf(8)
+    # Only pairs of types with different part counts are tested, finer first.
+    assert len(calls) == 180 and len(set(calls)) == 180
+    assert all(len(a) > len(b) for a, b in calls)
+
+
 def test_validate_ibf_detects_mutation():
     atlas = F.hypersurface_atlas(4)
     broken = list(atlas)

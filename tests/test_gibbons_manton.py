@@ -6,6 +6,7 @@ import pytest
 
 from monopole_corners import gibbons_manton as GM
 from monopole_corners import partitions as P
+from monopole_corners.errors import ChainError
 from monopole_corners.partitions import IntegerPartition as IP
 from monopole_corners.partitions import SetPartition
 
@@ -38,6 +39,34 @@ def test_weight_system_rejects_non_strict_flags():
         GM.weight_system(nu, P.singletons(3))
     with pytest.raises(ValueError):
         GM.weight_system(P.singletons(3), P.one_block(4))
+
+
+# Each caller of the one strict-flag check, given a flag (a, b) to refuse.
+STRICT_FLAG_CALLERS = {
+    "weight_system": GM.weight_system,
+    "flag_symmetry_orders": P.flag_symmetry_orders,
+    "restriction_splits fine": lambda a, b: GM.restriction_splits(a, b, P.one_block(b.k)),
+    "restriction_splits coarse": lambda a, b: GM.restriction_splits(P.singletons(a.k), a, b),
+    "ChainFlag": lambda a, b: P.ChainFlag(a.k, [a, b]),
+}
+
+
+@pytest.mark.parametrize("call", STRICT_FLAG_CALLERS.values(), ids=STRICT_FLAG_CALLERS)
+def test_strict_flag_callers_share_one_refusal(call):
+    lam = SetPartition(3, [[1, 2], [3]])
+    for nu in (lam, SetPartition(3, [[1, 3], [2]])):
+        with pytest.raises(ChainError) as exc:
+            call(lam, nu)
+        assert str(exc.value) == f"{lam} does not strictly refine {nu}"
+
+
+@pytest.mark.parametrize("name", [n for n in STRICT_FLAG_CALLERS if n != "ChainFlag"])
+def test_strict_flag_callers_refuse_different_ground_sets(name):
+    lam, nu = SetPartition(3, [[1, 2], [3]]), SetPartition(4, [[1, 2, 3], [4]])
+    with pytest.raises(ValueError) as exc:
+        STRICT_FLAG_CALLERS[name](lam, nu)
+    assert str(exc.value) == "partitions have different ground sets"
+    assert not isinstance(exc.value, ChainError)
 
 
 def test_weights_only_within_common_coarse_block():
@@ -132,7 +161,7 @@ def test_splitting_checks_two_flags_per_triple(monkeypatch):
         calls.append((a, b))
         return kernel(a, b)
 
-    monkeypatch.setattr(GM, "refines", counting)
+    monkeypatch.setattr(P, "refines", counting)
     triples = 0
     for k in range(3, 6):
         for lam, mu in strict_flags(k):

@@ -100,6 +100,19 @@ def test_gaussian_strings():
     assert str(G(1)) == "1"
 
 
+def test_gaussian_equality_agrees_with_hash():
+    assert G(1) == 1 and hash(G(1)) == hash(1)
+    assert G(Fraction(1, 2)) == Fraction(1, 2) and hash(G(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert len({G(1), 1}) == 1 and {1: "x"}.get(G(1)) == "x"
+    assert G(2, 3) == G(2, 3) and hash(G(2, 3)) == hash(G(2, 3))
+    assert G(1, 1) != 1 and G(2) != 3
+    for other in ("1", (1, 0), [1, 0], 1.0, None):
+        assert G(1) != other and other != G(1)
+    assert G(2, 3) != [2, 3]
+    # coerce keeps its input forms.
+    assert G.coerce("1/2") == Fraction(1, 2) and G.coerce((0, 1)) == G(0, 1)
+
+
 # --- resultant ----------------------------------------------------------------
 
 
