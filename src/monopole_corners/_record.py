@@ -12,8 +12,8 @@ classes and ``StrongFieldComponent``).
 constructors do not take their slots as arguments.  Equality and hashing are
 written out only by ``SetPartition`` (its word ``index`` alone, for speed),
 ``GaussianRational`` (equal only to the ints and Fractions whose value it
-has, and hashed like them), ``RationalMapPair`` (without its cache) and, for
-its dict field, ``ChernWeightSystem``'s hash.
+has, and hashed like them) and, for its dict field, ``ChernWeightSystem``'s
+hash.
 Each class gets, when it is defined, one ``_values`` that reads its field
 tuple through a single ``operator.attrgetter``; equality, hashing and
 pickling all go through it.

@@ -103,7 +103,8 @@ def separation(c: Configuration) -> float:
     """Sum of reciprocal pairwise distances; 0.0 for a single point.
 
     Homogeneous of degree -1 under scaling; serves as the boundary defining
-    function of the ideal configuration boundary.
+    function of the ideal configuration boundary.  A distance beyond the
+    float range is refused.
     """
     _require_distinct(c.points)
     return _reciprocal_distance_sum(c.points)
@@ -111,7 +112,15 @@ def separation(c: Configuration) -> float:
 
 def _reciprocal_distance_sum(points: Sequence[Point]) -> float:
     """Sum of 1/|p - q| over every pair of points; 0.0 for a single point."""
-    return sum((1.0 / math.dist(p, q) for p, q in itertools.combinations(points, 2)), 0.0)
+    return sum((1.0 / _finite(math.dist(p, q)) for p, q in itertools.combinations(points, 2)),
+               0.0)
+
+
+def _finite(dist: float) -> float:
+    """A distance, refused when beyond the float range (all such read inf)."""
+    if dist == math.inf:
+        raise ValueError("a distance between the points exceeds the floating-point range")
+    return dist
 
 
 class StrongFieldComponent(Record):
@@ -300,8 +309,6 @@ def taubes_cluster(inp: StrongFieldInput) -> ClusterDecomposition:
         ]
         d_t, r_t, g_t = d_next, r_next, g_next
         t += 1
-        if t > n:
-            raise AssertionError("merge loop failed to terminate")
 
     omega = SetPartition(n, blocks)
     charges = tuple(sum(comps[i - 1].charge for i in b) for b in omega.blocks)
@@ -352,9 +359,7 @@ def _single_linkage_merges(points: Sequence[Point]) -> list[tuple[float, int, in
     near = [1] * len(rest)
     events = []
     while rest:
-        dist = min(best)
-        if dist == math.inf:
-            raise ValueError("a distance between the points exceeds the floating-point range")
+        dist = _finite(min(best))
         m = best.index(dist)
         i, j = near[m], rest[m]
         events.append((dist, min(i, j), max(i, j)))
@@ -392,8 +397,6 @@ def scale_chain(
         raise ValueError("need finite base_scale > 0 and ratio_threshold > 1")
     _require_distinct(c.points)
     k = len(c.points)
-    if k == 1:
-        return ChainFlag(1, [])
     events = _single_linkage_merges(c.points)
     ratios = [[x.as_integer_ratio() for x in p] for p in c.points]
     scale = max(den for p in ratios for _, den in p)
@@ -442,14 +445,12 @@ def boundary_coords(c: Configuration, chain: ChainFlag) -> list[float]:
     prev: Sequence[int] = range(k)  # element i - 1 -> its block at the previous level
     sigma_prev = None
     for lam in levels:
-        sigma = min(
+        sigma = _finite(min(
             math.dist(c.points[i - 1], c.points[j - 1])
             for b in lam.blocks
             for i, j in itertools.combinations(b, 2)
             if prev[i - 1] != prev[j - 1]
-        )
-        if sigma == math.inf:
-            raise ValueError("a distance between the points exceeds the floating-point range")
+        ))
         coord = 1.0 / sigma if sigma_prev is None else sigma_prev / sigma
         if coord == math.inf:
             raise ValueError("a boundary coordinate exceeds the floating-point range")

@@ -86,8 +86,6 @@ def iter_corner_atlas(
         nu = one_block(k)
     elif nu.k != k:
         raise ValueError("nu is not a partition of {1..%d}" % k)
-    if d > k - nu.rank:
-        return iter(())
     return _atlas_descriptors(k, d, nu)
 
 

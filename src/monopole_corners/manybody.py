@@ -232,7 +232,8 @@ def validate(ws: ManyBodyStructure) -> list[str]:
 
     The meet is asked once per unordered pair, in label order, and kept in
     an n x n table of label indices (-1: no meet in the family) that every
-    later check reads.
+    later check reads.  The pair checks then visit each row's distinct
+    meets, not every pair again.
     """
     violations: list[str] = []
     labels = ws.labels
@@ -258,24 +259,22 @@ def validate(ws: ManyBodyStructure) -> list[str]:
         table[i * n + i + 1 : i * n + n] = row
         table[(i + 1) * n + i :: n] = row
 
+    # A meet c in row i other than i lies below labels[i] iff row[c] == c;
+    # then that entry is the pair (i, c) itself, else each column holding c
+    # is a pair whose meet is not a common lower bound.
     dim = [dims[l] for l in labels]
-    pair_violations: list[str] = []
+    pair_violations: dict[tuple[int, int], str] = {}
     for i, a in enumerate(labels):
-        d = dim[i]
-        for j, c in enumerate(table[i * n + i + 1 : i * n + n], start=i + 1):
-            # When c is a or b, meet(c, a) and meet(c, b) are c by definition
-            # and only the dimensions are checked.
-            if c == i:
-                if d >= dim[j]:
-                    pair_violations.append(f"dimension not monotone: {a!r} < {labels[j]!r} "
-                                           f"but dims {d} >= {dim[j]}")
-            elif c == j:
-                if dim[j] >= d:
-                    pair_violations.append(f"dimension not monotone: {labels[j]!r} < {a!r} "
-                                           f"but dims {dim[j]} >= {d}")
-            elif c >= 0 and (table[c * n + i] != c or table[c * n + j] != c):
-                pair_violations.append(f"meet({a!r},{labels[j]!r})={labels[c]!r} "
-                                       "is not a common lower bound")
+        row = table[i * n : i * n + n]
+        for c in set(row) - {i, -1}:
+            if row[c] != c:
+                for j in (j for j, cj in enumerate(row) if cj == c):
+                    lo, hi = min(i, j), max(i, j)
+                    pair_violations[lo, hi] = (f"meet({labels[lo]!r},{labels[hi]!r})="
+                                               f"{labels[c]!r} is not a common lower bound")
+            elif dim[c] >= dim[i]:
+                pair_violations[min(i, c), max(i, c)] = (f"dimension not monotone: {labels[c]!r} "
+                                                         f"< {a!r} but dims {dim[c]} >= {dim[i]}")
 
     if len(zeros) == 1:
         z = index(zeros[0])
@@ -287,7 +286,7 @@ def validate(ws: ManyBodyStructure) -> list[str]:
         for i, (l, c) in enumerate(zip(labels, table[t * n : t * n + n])):
             if c not in (i, -1):
                 violations.append(f"top element {tops[0]!r} is not above {l!r}")
-    return violations + pair_violations
+    return violations + [pair_violations[p] for p in sorted(pair_violations)]
 
 
 def hypersurfaces(ws: ManyBodyStructure) -> list[str]:

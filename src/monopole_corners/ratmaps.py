@@ -165,11 +165,11 @@ class RationalMapPair(Record):
 
     `phi_phase` is an exact extra unit factor on phi (in turns); direct
     constructions have phase 0, and quarter turns are always folded into
-    the coefficients.  The Sylvester determinant of (psi, phi) is computed
-    on first use and kept with the map; equality, hashing and copies ignore it.
+    the coefficients.  The resultant without the phase tag, the Sylvester
+    determinant of (psi, phi), is computed at construction as the last field.
     """
 
-    __slots__ = ("k", "phi", "psi", "phi_phase", "_gauss")
+    __slots__ = ("phi", "psi", "phi_phase", "_gauss")
 
     def __init__(self, phi: Iterable, psi: Iterable, phi_phase=0):
         phi_t = tuple(GaussianRational.coerce(c) for c in phi)
@@ -188,24 +188,17 @@ class RationalMapPair(Record):
             turns = (turns - quarter) % 1
         if all(c.is_zero() for c in phi_t):
             turns = Fraction(0)
-        object.__setattr__(self, "k", k)
         object.__setattr__(self, "phi", phi_t)
         object.__setattr__(self, "psi", psi_t)
         object.__setattr__(self, "phi_phase", turns)
-        object.__setattr__(self, "_gauss", None)
+        object.__setattr__(self, "_gauss", _gauss_resultant(psi_t, phi_t))
+
+    @property
+    def k(self) -> int:
+        return len(self.psi)
 
     def __reduce__(self):
         return type(self), (self.phi, self.psi, self.phi_phase)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalMapPair)
-            and (self.k, self.phi, self.psi, self.phi_phase)
-            == (other.k, other.phi, other.psi, other.phi_phase)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.phi, self.psi, self.phi_phase))
 
     def __repr__(self) -> str:
         return f"RationalMapPair(k={self.k}, phi={[str(c) for c in self.phi]}, psi={[str(c) for c in self.psi]}, phase={self.phi_phase})"
@@ -307,13 +300,12 @@ def _det_bareiss(re: list[list[int]], im: list[list[int]]) -> tuple[int, int]:
     return sign * re[-1][-1], sign * im[-1][-1]
 
 
-def _gauss_resultant(m: RationalMapPair) -> GaussianRational:
-    """The resultant without the phase tag, computed once per map."""
-    if m._gauss is None:
-        re, im, scale = _sylvester(m.psi, m.phi)
-        det_re, det_im = _det_bareiss(re, im)
-        object.__setattr__(m, "_gauss", GaussianRational(Fraction(det_re, scale), Fraction(det_im, scale)))
-    return m._gauss
+def _gauss_resultant(psi: Sequence[GaussianRational],
+                     phi: Sequence[GaussianRational]) -> GaussianRational:
+    """The resultant of (psi, phi) without the phase tag."""
+    re, im, scale = _sylvester(psi, phi)
+    det_re, det_im = _det_bareiss(re, im)
+    return GaussianRational(Fraction(det_re, scale), Fraction(det_im, scale))
 
 
 def _resultant_phase(m: RationalMapPair) -> Phase:
@@ -329,7 +321,7 @@ def resultant(m: RationalMapPair) -> GaussianRational:
     leaves the Gaussian rationals and an error explains how to retrieve the
     two exact factors.
     """
-    base = _gauss_resultant(m)
+    base = m._gauss
     phase = _resultant_phase(m)
     unit = phase.as_gaussian()
     if unit is None:
@@ -341,12 +333,12 @@ def resultant(m: RationalMapPair) -> GaussianRational:
 
 def is_based(m: RationalMapPair) -> bool:
     """No common factor: the resultant does not vanish."""
-    return not _gauss_resultant(m).is_zero()
+    return not m._gauss.is_zero()
 
 
 def is_centred(m: RationalMapPair) -> bool:
     """Based, traceless denominator, and unit-modulus resultant."""
-    return m.psi[m.k - 1].is_zero() and _gauss_resultant(m).abs2() == 1
+    return m.psi[m.k - 1].is_zero() and m._gauss.abs2() == 1
 
 
 def is_strongly_centred(m: RationalMapPair) -> bool:
@@ -356,7 +348,7 @@ def is_strongly_centred(m: RationalMapPair) -> bool:
     # A phase outside the Gaussian units is a root of unity outside the
     # Gaussian rationals, so its product with the base cannot equal 1.
     unit = _resultant_phase(m).as_gaussian()
-    return unit is not None and _gauss_resultant(m) * unit == ONE
+    return unit is not None and m._gauss * unit == ONE
 
 
 def torus_act(lam, m: RationalMapPair) -> RationalMapPair:

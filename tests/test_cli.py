@@ -163,6 +163,12 @@ def test_chain_three_point_sample(tmp_path, capsys):
     assert out.strip() == "[{{1,2},{3}}]"
 
 
+def test_chain_of_one_point_is_empty(tmp_path, capsys):
+    src = tmp_path / "pts.json"
+    src.write_text(json.dumps({"points": [[1, 2, 3]]}))
+    assert run_cli(capsys, "chain", "--input", str(src)) == (0, "[]\n", "")
+
+
 def test_chain_json_format(tmp_path, capsys):
     src = tmp_path / "pts.json"
     src.write_text(json.dumps({"points": [[0, 0, 0], [2, 0, 0], [100, 0, 0]]}))
@@ -294,6 +300,8 @@ _HUGE = 10**400  # a JSON integer no float can hold
         ({"components": [dict(_COMPONENT, diameter="1")]}, "diameter"),
         ({"components": [dict(_COMPONENT, charge="2")]}, "charge"),
         ({"components": [_COMPONENT], "r_prime": True}, "r_prime"),
+        ({"components": [dict(_COMPONENT, center=[1e308, 0, 0]),
+                         dict(_COMPONENT, center=[-1e308, 0, 0])]}, "floating-point range"),
     ],
 )
 def test_cluster_rejects_bad_shape(tmp_path, capsys, data, needle):

@@ -24,6 +24,11 @@ def test_separation_of_one_point_is_the_float_zero():
     assert eps == 0.0 and type(eps) is float
 
 
+def test_separation_refuses_an_overflowing_distance():
+    with pytest.raises(ValueError, match="exceeds the floating-point range"):
+        C.separation(C.Configuration([[1e308, 0, 0], [-1e308, 0, 0]]))
+
+
 def test_separation_equilateral_triangle():
     tri = C.Configuration([(0, 0, 0), (1, 0, 0), (0.5, math.sqrt(3) / 2, 0)])
     assert C.separation(tri) == pytest.approx(3.0, rel=1e-12)
@@ -420,6 +425,10 @@ def test_scale_chain_free_boundary():
 def test_scale_chain_interior():
     cfg = C.Configuration([(0, 0, 0), (1, 0, 0), (2, 0, 0)])
     assert len(C.scale_chain(cfg, base_scale=10, ratio_threshold=4)) == 0
+
+
+def test_scale_chain_of_one_point_is_empty():
+    assert C.scale_chain(C.Configuration([[1, 2, 3]])) == ChainFlag(1, [])
 
 
 def test_scale_chain_three_levels():

@@ -423,6 +423,13 @@ def test_relative_orbits_match_brute_force():
             assert got == expected, (k, blocks, d, got, expected)
 
 
+@pytest.mark.parametrize("rgs", ["000111", "001122", "00001111"])
+def test_relative_atlas_beyond_the_longest_chain_is_empty(rgs):
+    nu = SetPartition.from_rgs(rgs)
+    for d in [*range(nu.k - nu.rank + 1, nu.k + 3), 10**15]:
+        assert list(F.iter_corner_atlas(nu.k, d, nu)) == []
+
+
 def test_descriptor_json_shape():
     desc = F.corner_atlas(4, 2)[0]
     d = desc.to_json_dict()

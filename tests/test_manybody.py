@@ -71,6 +71,15 @@ def test_validate_dimension_monotonicity():
     assert any("monotone" in v for v in violations)
 
 
+def test_validate_reports_a_pair_failing_from_both_rows_once():
+    # meet(a, b) = c lies below neither a nor b.
+    dims = {"0": 0, "a": 1, "b": 1, "c": 1, "V": 3}
+    meets = [("0", x, "0") for x in "abcV"] + [(x, "V", x) for x in "abc"]
+    meets += [("a", "b", "c"), ("a", "c", "0"), ("b", "c", "0")]
+    bad = MB.ManyBodyStructure(3, dims, meets)
+    assert MB.validate(bad) == ["meet('a','b')='c' is not a common lower bound"]
+
+
 def test_hypersurfaces_counts():
     ws = MB.diagonal_structure(3, 3)
     hs = MB.hypersurfaces(ws)

@@ -311,6 +311,21 @@ def test_resultant_raises_outside_gaussian_range():
         R.resultant(tagged)
 
 
+def test_resultant_and_predicates_take_no_determinant_after_construction(monkeypatch):
+    maps = [M([G(1), G(2, -1)], [G(0), G(0), G(1, 3)]),
+            M([G(1)], [G(0), G(0), G(0)], phi_phase=Fraction(1, 5)),
+            M([G(1), G(1)], [G(1), G(2)])]
+    calls = []
+    monkeypatch.setattr(R, "_det_bareiss", lambda re, im: calls.append(len(re)))
+    for m in maps:
+        try:
+            R.resultant(m)
+        except ValueError:
+            pass
+        R.is_based(m), R.is_centred(m), R.is_strongly_centred(m)
+    assert calls == []
+
+
 def test_unit_modulus_phases_accepted_by_centred_predicates():
     m = M([G(1)], [G(0), G(0), G(0)])  # strongly centred, k=3
     tagged = R.torus_act(Phase(Fraction(1, 5)), m)

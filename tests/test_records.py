@@ -169,13 +169,13 @@ def test_values_are_the_slot_values_of_every_record():
         assert values == tuple(getattr(rec, name) for name in type(rec).__slots__), type(rec)
 
 
-def test_phase_tagged_map_keeps_its_phase_and_drops_its_cache():
-    m = R.RationalMapPair([1, (0, 1)], [Fraction(1, 3), 0], phi_phase=Fraction(1, 3))
-    assert m.phi_phase == Fraction(1, 12)
-    resultant = R._gauss_resultant(m)
+def test_phase_tagged_map_keeps_its_phase_and_resultant():
+    m = R.RationalMapPair([1, (0, 1)], [Fraction(1, 3), 0], phi_phase=Fraction(3, 8))
+    assert m.phi_phase == Fraction(1, 8)
+    assert R.resultant(m) == R.GaussianRational(0, Fraction(-2, 3))
     for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
-        assert (twin.phi, twin.psi, twin.phi_phase) == (m.phi, m.psi, m.phi_phase)
-        assert twin._gauss is None and R._gauss_resultant(twin) == resultant
+        assert twin == m and (twin.phi, twin.psi, twin.phi_phase) == (m.phi, m.psi, m.phi_phase)
+        assert R.resultant(twin) == R.resultant(m)
 
 
 def test_configurations_compare_by_field():
