@@ -15,11 +15,16 @@ phi, a rational number of turns; quarter turns are folded into the
 coefficients at construction.  A root of unity is a Gaussian rational only
 if it is a fourth root, which is what makes the strong-centring test on a
 phase-tagged map exactly decidable.
+
+`torus_act` is the one action of a unit on phi.  The deck group Z_k of
+Sen's conjecture acts through it: `deck_transform(m, j)` is the action of
+exp(2*pi*i*j/k), for an int j only.  An image takes its resultant from
+the original, Res(psi, u*phi) = u^k * Res(psi, phi), with no new
+determinant.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -41,10 +46,13 @@ class GaussianRational(Record):
     def coerce(cls, value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
+        parts = value if isinstance(value, (tuple, list)) else (value,)
+        if any(isinstance(x, bool) for x in parts):
+            raise TypeError(f"cannot interpret {value!r} as a Gaussian rational: a bool is not a number")
         if isinstance(value, (int, Fraction, str)):
             return cls(Fraction(value))
-        if isinstance(value, (tuple, list)) and len(value) == 2:
-            return cls(Fraction(value[0]), Fraction(value[1]))
+        if len(parts) == 2:
+            return cls(Fraction(parts[0]), Fraction(parts[1]))
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
     def __add__(self, other):
@@ -154,6 +162,8 @@ class Phase(Record):
         return _QUARTER_UNITS.get(self.turns)
 
     def __complex__(self) -> complex:
+        import cmath
+
         return cmath.exp(2j * cmath.pi * float(self.turns))
 
     def __repr__(self) -> str:
@@ -179,19 +189,15 @@ class RationalMapPair(Record):
             raise ValueError("degree must be at least 1")
         if len(phi_t) > k:
             raise ValueError(f"deg phi must be < deg psi = {k}")
-        phi_t = phi_t + (ZERO,) * (k - len(phi_t))
-        turns = Fraction(phi_phase) % 1
-        quarter = Fraction(int(turns * 4), 4)
-        unit = _QUARTER_UNITS[quarter]
-        if unit != ONE:
-            phi_t = tuple(c * unit for c in phi_t)
-            turns = (turns - quarter) % 1
-        if all(c.is_zero() for c in phi_t):
-            turns = Fraction(0)
-        object.__setattr__(self, "phi", phi_t)
-        object.__setattr__(self, "psi", psi_t)
-        object.__setattr__(self, "phi_phase", turns)
-        object.__setattr__(self, "_gauss", _gauss_resultant(psi_t, phi_t))
+        phi_t, turns, _ = _fold(phi_t + (ZERO,) * (k - len(phi_t)), phi_phase)
+        Record.__init__(self, phi_t, psi_t, turns, _gauss_resultant(psi_t, phi_t))
+
+    @classmethod
+    def _canonical(cls, phi, psi, phi_phase, gauss) -> "RationalMapPair":
+        """Wrap canonical fields; `gauss` must be the resultant of (psi, phi)."""
+        self = object.__new__(cls)
+        Record.__init__(self, phi, psi, phi_phase, gauss)
+        return self
 
     @property
     def k(self) -> int:
@@ -222,6 +228,22 @@ class RationalMapPair(Record):
             _json_coefficients(d, "psi"),
             phi_phase=as_rational(d.get("phi_phase", 0), "phi_phase"),
         )
+
+
+def _fold(phi: tuple, turns, unit: GaussianRational = ONE):
+    """Multiply phi by the Gaussian unit `unit` and by the quarter turns of
+    `turns`: the new coefficients, the phase tag left in [0, 1/4) (0 for a
+    zero phi), and the whole Gaussian unit that phi was multiplied by."""
+    turns = Fraction(turns) % 1
+    quarter = Fraction(int(turns * 4), 4)
+    if quarter:
+        unit *= _QUARTER_UNITS[quarter]
+        turns -= quarter
+    if unit != ONE:
+        phi = tuple(c * unit for c in phi)
+    if all(c.is_zero() for c in phi):
+        turns = Fraction(0)
+    return phi, turns, unit
 
 
 def _json_coefficients(d: dict, name: str) -> list[GaussianRational]:
@@ -352,46 +374,27 @@ def is_strongly_centred(m: RationalMapPair) -> bool:
 
 
 def torus_act(lam, m: RationalMapPair) -> RationalMapPair:
-    """Scale phi by a unit scalar: a Gaussian unit or an exact Phase."""
+    """Scale phi by a unit scalar: a Gaussian unit or an exact Phase.  The
+    image's resultant is m's times u^k, u the Gaussian unit folded into phi:
+    no determinant is taken."""
     if isinstance(lam, Phase):
-        return RationalMapPair(m.phi, m.psi, phi_phase=m.phi_phase + lam.turns)
-    g = GaussianRational.coerce(lam)
-    if g.abs2() != 1:
-        raise ValueError(f"torus action needs a unit scalar, got |lam|^2 = {g.abs2()}")
-    return RationalMapPair([c * g for c in m.phi], m.psi, phi_phase=m.phi_phase)
-
-
-def deck_transform(m: RationalMapPair, zeta) -> RationalMapPair:
-    """Act by a k-th root of unity: phi -> zeta*phi.
-
-    `zeta` is an integer exponent j (meaning exp(2*pi*i*j/k)), an exact
-    Phase whose k-th power is 1, or a floating unit complex number within
-    1e-9 of such a root.
-    """
-    k = m.k
-    if isinstance(zeta, int):
-        turns = Fraction(zeta, k)
-    elif isinstance(zeta, Phase):
-        if (zeta.turns * k) % 1 != 0:
-            raise ValueError(f"{zeta!r} is not a {k}-th root of unity")
-        turns = zeta.turns
-    elif isinstance(zeta, complex):
-        if abs(abs(zeta) - 1.0) > 1e-9:
-            raise ValueError(f"|zeta| = {abs(zeta)} is not 1")
-        j = round(cmath.phase(zeta) / (2 * math.pi) * k) % k
-        if abs(zeta - cmath.exp(2j * cmath.pi * j / k)) > 1e-9:
-            raise ValueError(f"{zeta} is not a {k}-th root of unity (tol 1e-9)")
-        turns = Fraction(j, k)
+        g, turns = ONE, m.phi_phase + lam.turns
     else:
-        raise TypeError(f"cannot interpret {zeta!r} as a k-th root of unity")
-    return RationalMapPair(m.phi, m.psi, phi_phase=m.phi_phase + turns)
+        g, turns = GaussianRational.coerce(lam), m.phi_phase
+        if g.abs2() != 1:
+            raise ValueError(f"torus action needs a unit scalar, got |lam|^2 = {g.abs2()}")
+    phi, turns, unit = _fold(m.phi, turns, g)
+    return RationalMapPair._canonical(phi, m.psi, turns, m._gauss * unit ** m.k)
+
+
+def deck_transform(m: RationalMapPair, j: int) -> RationalMapPair:
+    """Act on phi by the k-th root of unity exp(2*pi*i*j/k).  `j` must be an
+    int; anything else, a bool included, raises TypeError."""
+    if isinstance(j, bool) or not isinstance(j, int):
+        raise TypeError(f"deck_transform takes an int exponent j, got {j!r}")
+    return torus_act(Phase(Fraction(j, m.k)), m)
 
 
 def deck_orbit(m: RationalMapPair) -> list[RationalMapPair]:
-    """The orbit of m under all k-th roots of unity acting on phi."""
-    seen = []
-    for j in range(m.k):
-        img = deck_transform(m, j)
-        if img not in seen:
-            seen.append(img)
-    return seen
+    """The orbit of m under the k-th roots of unity, in order of first appearance."""
+    return list(dict.fromkeys(deck_transform(m, j) for j in range(m.k)))

@@ -96,7 +96,7 @@ def test_atlas_commands_skip_the_other_layers(argv):
 def test_resultant_skips_the_partition_layers(argv):
     modules = run_cli(*argv)
     assert not library(modules) & {"partitions", "faces", "clusters"}
-    assert "dataclasses" not in modules
+    assert "dataclasses" not in modules and "cmath" not in modules
 
 
 def test_no_path_loads_dataclasses(tmp_path):

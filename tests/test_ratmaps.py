@@ -113,6 +113,21 @@ def test_gaussian_equality_agrees_with_hash():
     assert G.coerce("1/2") == Fraction(1, 2) and G.coerce((0, 1)) == G(0, 1)
 
 
+def test_bools_are_not_gaussian_rationals():
+    m = M([G(1), G(2)], [G(0), G(0)])
+    for value in (True, False, (True, 0), (0, False), [1, True]):
+        with pytest.raises(TypeError, match="a bool is not a number"):
+            G.coerce(value)
+    with pytest.raises(TypeError):
+        R.torus_act(True, m)
+    with pytest.raises(TypeError):
+        M([True], [0])
+    with pytest.raises(TypeError):
+        M([1], [(0, True)])
+    with pytest.raises(TypeError):
+        G(1) * True
+
+
 # --- resultant ----------------------------------------------------------------
 
 
@@ -364,17 +379,74 @@ def test_deck_action_has_order_dividing_k():
         assert out == m
 
 
-def test_deck_transform_float_snapping():
-    m = M([G(1)], [G(0)] * 3)
-    z = cmath.exp(2j * cmath.pi / 3)
-    assert R.deck_transform(m, z) == R.deck_transform(m, 1)
-    assert R.deck_transform(m, complex(1, 0)) == m
-    with pytest.raises(ValueError):
-        R.deck_transform(m, 0.5 + 0.5j)
-    with pytest.raises(ValueError):
-        R.deck_transform(m, 1.1 + 0j)
-    with pytest.raises(ValueError):
-        R.deck_transform(m, Phase(Fraction(1, 2)))
+def test_deck_transform_takes_only_an_int():
+    m = M([G(1), G(2, -1)], [G(0), G(1)] + [G(0)] * 4, phi_phase=Fraction(2, 9))
+    k = m.k
+    for j in (cmath.exp(2j * cmath.pi / k), complex(1, 0), 1.0, Phase(Fraction(1, k)),
+              True, False, "1", Fraction(1)):
+        with pytest.raises(TypeError):
+            R.deck_transform(m, j)
+    for j in range(-k, 2 * k + 1):
+        assert R.deck_transform(m, j) == R.torus_act(Phase(Fraction(j, k)), m)
+
+
+def test_actions_take_no_determinant(monkeypatch):
+    maps = [M([G(1), G(2, -1), G(0)], [G(0), G(0), G(1, 3)]),
+            M([G(1)], [G(0), G(0), G(0)], phi_phase=Fraction(1, 5)),
+            M([G(Fraction(1, 3)), G(1)], [G(1), G(2)], phi_phase=Fraction(5, 8)),
+            M([], [G(1)] * 5)]
+    calls = []
+    monkeypatch.setattr(R, "_det_bareiss", lambda re, im: calls.append(len(re)) or (0, 0))
+    for m in maps:
+        R.deck_orbit(m)
+        R.deck_transform(m, 1)
+        for lam in (G(1), G(-1), G(0, 1), G(0, -1), Phase(Fraction(1, 3)), Phase(Fraction(5, 7))):
+            R.torus_act(lam, m)
+    assert calls == []
+
+
+def _corpus_map(rng, kind, k):
+    """One map of degree k: `kind` 0 plain, 1 phase-tagged, 2 zero phi,
+    3 phase-tagged with a root shared by phi and psi (zero resultant)."""
+    def coeff():
+        if rng.random() < 0.3:
+            return G(0)
+        return G(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                 Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+
+    phase = Fraction(rng.randint(0, 23), rng.choice((1, 2, 3, 4, 5, 6, 7, 8, 12))) if kind % 2 else 0
+    if kind == 2:
+        return M([G(0)] * rng.randint(0, k), [coeff() for _ in range(k)])
+    if kind == 3 and k >= 2:
+        # psi = (z - a) * q with q monic, phi = (z - a) * r; coefficients low to high.
+        a = coeff()
+        q = [coeff() for _ in range(k - 1)] + [G(1)]
+        r = [coeff() for _ in range(rng.randint(1, k - 1))]
+        times_root = lambda p: [-a * p[0]] + [p[i - 1] - a * p[i] for i in range(1, len(p))] + [p[-1]]
+        return M(times_root(r), times_root(q)[:k], phi_phase=phase)
+    return M([coeff() for _ in range(rng.randint(0, k))], [coeff() for _ in range(k)], phi_phase=phase)
+
+
+def test_acted_images_equal_the_rebuilt_maps():
+    rng = random.Random(25)
+    units = (G(1), G(-1), G(0, 1), G(0, -1), Phase(Fraction(1, 3)), Phase(Fraction(5, 7)))
+    vanishing = [0] * 4
+    for n in range(300):
+        kind, k = n % 4, rng.randint(1, 12)
+        m = _corpus_map(rng, kind, k)
+        vanishing[kind] += m._gauss.is_zero()
+        orbit = R.deck_orbit(m)
+        reference = []
+        for j in range(k):
+            image = R.deck_transform(m, j)
+            if image not in reference:
+                reference.append(image)
+        assert orbit == reference
+        for x in orbit + [R.torus_act(u, m) for u in units]:
+            rebuilt = M(x.phi, x.psi, phi_phase=x.phi_phase)
+            assert [getattr(x, f) for f in M.__slots__] == [getattr(rebuilt, f) for f in M.__slots__]
+    # Zero phi and shared roots always give a vanishing resultant.
+    assert vanishing[2] == 75 and vanishing[3] >= 70
 
 
 def test_json_round_trip():
