@@ -3,20 +3,24 @@
 A record class lists its fields in ``__slots__`` and inherits what a frozen
 dataclass would give it: a constructor taking every field once, in slot
 order, by position or by name; ``Name(field=value, ...)`` as repr;
-field-wise equality within the exact type; the hash of the field tuple;
-AttributeError on assignment or deletion; and pickle and copy through the
-constructor.  A class writes its own ``__init__``, setting each field with
-``object.__setattr__``, only to check or normalize its input (the value
-classes and ``StrongFieldComponent``).
-``SetPartition`` and ``RationalMapPair`` override ``__reduce__``, as their
-constructors do not take their slots as arguments.  Equality and hashing are
-written out only by ``SetPartition`` (its word ``index`` alone, for speed),
-``GaussianRational`` (equal only to the ints and Fractions whose value it
-has, and hashed like them) and, for its dict field, ``ChernWeightSystem``'s
-hash.
+field-wise equality within the exact type; the hash of the field tuple; and
+AttributeError on assignment or deletion.  Fields are set only here.  A
+class writes its own ``__init__`` only to check or normalize its input, and
+ends it in one ``Record.__init__`` call.  ``_canonical(*values)``, the one
+trusted constructor, takes the values in slot order and checks nothing.
+Records copy as tuples do: a copy is the record itself, and so is a deep
+copy unless some field deep-copies to a new object (the dicts of
+``ChernWeightSystem``, ``IbfReport`` and ``SplitWitness``), which is then
+wrapped through ``_canonical``.  Pickles rebuild through the checked
+constructor; ``SetPartition`` and ``RationalMapPair`` override
+``__reduce__``, as their constructors do not take their slots as arguments.
+Equality and hashing are written out only by ``SetPartition`` (its word
+``index`` alone, for speed), ``GaussianRational`` (equal only to the ints
+and Fractions whose value it has, and hashed like them) and, for its dict
+field, ``ChernWeightSystem``'s hash.
 Each class gets, when it is defined, one ``_values`` that reads its field
-tuple through a single ``operator.attrgetter``; equality, hashing and
-pickling all go through it.
+tuple through a single ``operator.attrgetter``; equality, hashing, pickling
+and deep copies all go through it.
 """
 
 from operator import attrgetter
@@ -43,6 +47,14 @@ class Record:
         for name, value in zip(names, values):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _canonical(cls, *values):
+        """The record of `values`, one per slot in slot order, unchecked."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
 
@@ -63,3 +75,13 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        from copy import deepcopy
+
+        values = self._values()   # deep-copies to itself when every field does
+        copied = deepcopy(values, memo)
+        return self if copied is values else self._canonical(*copied)

@@ -74,8 +74,7 @@ class Configuration(Record):
             ch = tuple(as_int(c, "charge", 1) for c in charges)
             if len(ch) != len(pts):
                 raise ValueError("one charge per point required")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "charges", ch)
+        Record.__init__(self, pts, ch)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Configuration":
@@ -127,11 +126,11 @@ class StrongFieldComponent(Record):
     __slots__ = ("center", "diameter", "charge")
 
     def __init__(self, center: Point, diameter: float, charge: int):
-        object.__setattr__(self, "center", _point(center, "center"))
-        if as_real(diameter, "diameter") < 0:
+        center = _point(center, "center")
+        d = as_real(diameter, "diameter")
+        if d < 0:
             raise ValueError(f"diameter must be nonnegative, got {diameter!r}")
-        object.__setattr__(self, "diameter", diameter)
-        object.__setattr__(self, "charge", as_int(charge, "charge", 1))
+        Record.__init__(self, center, d, as_int(charge, "charge", 1))
 
 
 class StrongFieldInput(Record):
@@ -149,8 +148,7 @@ class StrongFieldInput(Record):
         r_prime = as_real(r_prime, "r_prime")
         if r_prime <= 0:
             raise ValueError(f"r_prime must be positive, got {r_prime!r}")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "r_prime", r_prime)
+        Record.__init__(self, comps, r_prime)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "StrongFieldInput":

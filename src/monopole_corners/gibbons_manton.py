@@ -39,11 +39,8 @@ class ChernWeightSystem(Record):
 
     def __init__(self, k: int, lam: SetPartition, nu: SetPartition,
                  weights: dict[int, dict[int, int]]):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "nu", nu)
         frozen = {i: dict(sorted(m.items())) for i, m in sorted(weights.items())}
-        object.__setattr__(self, "weights", frozen)
+        Record.__init__(self, k, lam, nu, frozen)
 
     @property
     def rank(self) -> int:

@@ -57,21 +57,7 @@ class SetPartition(Record):
         index = tuple(map(where.get, range(1, k + 1))) if len(where) == k else None
         if index is None or None in index:
             raise ValueError("blocks do not cover {1..%d}" % k)
-        object.__setattr__(self, "blocks", blks)
-        object.__setattr__(self, "index", index)
-
-    @classmethod
-    def _canonical(
-        cls, blocks: tuple[tuple[int, ...], ...], index: tuple[int, ...]
-    ) -> "SetPartition":
-        """Wrap blocks that are already canonical, and their restricted-growth
-        word, without checking them: ascending tuples, sorted by minimum,
-        covering {1..len(index)} disjointly.  Only for callers whose blocks
-        are valid by construction."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "index", index)
-        return self
+        Record.__init__(self, blks, index)
 
     @classmethod
     def _from_word(cls, word: tuple[int, ...]) -> "SetPartition":
@@ -187,7 +173,7 @@ class IntegerPartition(Record):
         for x in p:
             if type(x) is not int or x < 1:
                 raise ValueError(f"parts must be integers >= 1, got {x!r}")
-        object.__setattr__(self, "parts", tuple(sorted(p)))
+        Record.__init__(self, tuple(sorted(p)))
 
     @property
     def total(self) -> int:
@@ -224,18 +210,7 @@ class ChainFlag(Record):
                 raise ChainError("chain entries must be proper partitions")
         for a, b in zip(entries, entries[1:]):
             _check_strict(a, b)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "chain", entries)
-
-    @classmethod
-    def _canonical(cls, k: int, chain: tuple[SetPartition, ...]) -> "ChainFlag":
-        """Wrap a tuple of proper partitions of {1..k}, each strictly
-        refining the next, without checking it.  Only for callers whose
-        chains are valid by construction."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "chain", chain)
-        return self
+        Record.__init__(self, k, entries)
 
     def __len__(self) -> int:
         return len(self.chain)

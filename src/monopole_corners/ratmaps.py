@@ -33,51 +33,56 @@ from ._record import Record
 from .inputs import as_list, as_object, as_rational
 
 
+def _exact(x) -> Fraction:
+    """An exact number as a Fraction; a bool or a float is refused."""
+    if isinstance(x, (bool, float)):
+        why = "a bool is not a number" if isinstance(x, bool) else "a float is not exact"
+        raise TypeError(f"cannot read {x!r} as an exact rational: {why}")
+    return Fraction(x)
+
+
 class GaussianRational(Record):
-    """An exact complex number with rational real and imaginary parts."""
+    """An exact complex number with rational real and imaginary parts; a
+    bool or a float part raises TypeError."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        Record.__init__(self, _exact(re), _exact(im))
 
     @classmethod
     def coerce(cls, value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        parts = value if isinstance(value, (tuple, list)) else (value,)
-        if any(isinstance(x, bool) for x in parts):
-            raise TypeError(f"cannot interpret {value!r} as a Gaussian rational: a bool is not a number")
         if isinstance(value, (int, Fraction, str)):
-            return cls(Fraction(value))
-        if len(parts) == 2:
-            return cls(Fraction(parts[0]), Fraction(parts[1]))
+            return cls(value)
+        if isinstance(value, (tuple, list)) and len(value) == 2:
+            return cls(*value)
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
     def __add__(self, other):
         o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return GaussianRational._canonical(self.re + o.re, self.im + o.im)
 
     def __sub__(self, other):
         o = GaussianRational.coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return GaussianRational._canonical(self.re - o.re, self.im - o.im)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational._canonical(-self.re, -self.im)
 
     def __mul__(self, other):
         o = GaussianRational.coerce(other)
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        return GaussianRational._canonical(self.re * o.re - self.im * o.im,
+                                           self.re * o.im + self.im * o.re)
 
     def __truediv__(self, other):
         o = GaussianRational.coerce(other)
         n = o.abs2()
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational((self.re * o.re + self.im * o.im) / n,
-                                (o.re * self.im - o.im * self.re) / n)
+        return GaussianRational._canonical((self.re * o.re + self.im * o.im) / n,
+                                           (o.re * self.im - o.im * self.re) / n)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -100,7 +105,7 @@ class GaussianRational(Record):
         return out
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return GaussianRational._canonical(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -155,7 +160,7 @@ class Phase(Record):
     __slots__ = ("turns",)
 
     def __init__(self, turns):
-        object.__setattr__(self, "turns", Fraction(turns) % 1)
+        Record.__init__(self, _exact(turns) % 1)
 
     def as_gaussian(self) -> GaussianRational | None:
         """The exact value, when it happens to be a Gaussian rational."""
@@ -192,13 +197,6 @@ class RationalMapPair(Record):
         phi_t, turns, _ = _fold(phi_t + (ZERO,) * (k - len(phi_t)), phi_phase)
         Record.__init__(self, phi_t, psi_t, turns, _gauss_resultant(psi_t, phi_t))
 
-    @classmethod
-    def _canonical(cls, phi, psi, phi_phase, gauss) -> "RationalMapPair":
-        """Wrap canonical fields; `gauss` must be the resultant of (psi, phi)."""
-        self = object.__new__(cls)
-        Record.__init__(self, phi, psi, phi_phase, gauss)
-        return self
-
     @property
     def k(self) -> int:
         return len(self.psi)
@@ -234,7 +232,7 @@ def _fold(phi: tuple, turns, unit: GaussianRational = ONE):
     """Multiply phi by the Gaussian unit `unit` and by the quarter turns of
     `turns`: the new coefficients, the phase tag left in [0, 1/4) (0 for a
     zero phi), and the whole Gaussian unit that phi was multiplied by."""
-    turns = Fraction(turns) % 1
+    turns = _exact(turns) % 1
     quarter = Fraction(int(turns * 4), 4)
     if quarter:
         unit *= _QUARTER_UNITS[quarter]
@@ -327,7 +325,7 @@ def _gauss_resultant(psi: Sequence[GaussianRational],
     """The resultant of (psi, phi) without the phase tag."""
     re, im, scale = _sylvester(psi, phi)
     det_re, det_im = _det_bareiss(re, im)
-    return GaussianRational(Fraction(det_re, scale), Fraction(det_im, scale))
+    return GaussianRational._canonical(Fraction(det_re, scale), Fraction(det_im, scale))
 
 
 def _resultant_phase(m: RationalMapPair) -> Phase:

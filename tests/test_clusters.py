@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -80,6 +81,19 @@ def test_strong_field_input_validation():
         C.StrongFieldInput([{"center": [0, 0, 0], "diameter": 1, "charge": 0}])
     with pytest.raises(ValueError):
         C.StrongFieldInput([{"center": [0, 0, 0], "diameter": 1, "charge": 1}], r_prime=0)
+
+
+def test_strong_field_component_stores_its_diameter_as_a_float():
+    comp = C.StrongFieldComponent([0, 0, 0], Fraction(100, 3), 1)
+    as_float = C.StrongFieldComponent([0, 0, 0], 100 / 3, 1)
+    assert type(comp.diameter) is float and comp == as_float
+    far = C.StrongFieldComponent([80, 0, 0], 1, 2)
+    inp = C.StrongFieldInput([comp, far])
+    assert json.loads(json.dumps(inp.to_json_dict()))["components"][0]["diameter"] == 100 / 3
+    # The clustering sees the float the component holds, as for float input.
+    dec = C.taubes_cluster(inp)
+    assert dec.history[0].d == Fraction(100 / 3)
+    assert dec == C.taubes_cluster(C.StrongFieldInput([as_float, far]))
 
 
 def test_single_component_halts_immediately():

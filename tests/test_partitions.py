@@ -783,7 +783,8 @@ def test_partitions_copy_and_pickle_through_the_constructor():
             assert type(y) is type(x) and y == x and hash(y) == hash(x)
             with pytest.raises(AttributeError):
                 y.k = 5
-    # copies and unpickling rebuild through the checked constructor
+    # copies are the value itself, and unpickling rebuilds through the
+    # checked constructor
     cls, args = lam.__reduce__()
     assert (cls, args) == (SetPartition, (4, lam.blocks))
     with pytest.raises(ValueError, match="element 4 outside 1..3"):

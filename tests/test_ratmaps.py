@@ -1,6 +1,8 @@
 import cmath
+import copy
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -118,6 +120,20 @@ def test_bools_are_not_gaussian_rationals():
     for value in (True, False, (True, 0), (0, False), [1, True]):
         with pytest.raises(TypeError, match="a bool is not a number"):
             G.coerce(value)
+    for parts in ((True, False), (True,), (0, False)):
+        with pytest.raises(TypeError, match="a bool is not a number"):
+            G(*parts)
+    # A float is not exact: 0.1 would read as 3602879701896397/36028797018963968.
+    for parts in ((0.1,), (1.0,), (0, 0.5)):
+        with pytest.raises(TypeError, match="a float is not exact"):
+            G(*parts)
+    with pytest.raises(TypeError, match="a float is not exact"):
+        G.coerce((0, 0.5))
+    for turns in (True, False, 0.1, 0.25):
+        with pytest.raises(TypeError):
+            Phase(turns)
+        with pytest.raises(TypeError):
+            M([1], [0, 0], phi_phase=turns)
     with pytest.raises(TypeError):
         R.torus_act(True, m)
     with pytest.raises(TypeError):
@@ -403,6 +419,18 @@ def test_actions_take_no_determinant(monkeypatch):
         for lam in (G(1), G(-1), G(0, 1), G(0, -1), Phase(Fraction(1, 3)), Phase(Fraction(5, 7))):
             R.torus_act(lam, m)
     assert calls == []
+
+
+def test_copies_take_no_determinant_and_unpickling_takes_one(monkeypatch):
+    m = M([G(1), G(2, -1)], [G(0), G(1)] + [G(0)] * 6, phi_phase=Fraction(2, 9))
+    data = pickle.dumps(m)
+    calls = []
+    det = R._det_bareiss
+    monkeypatch.setattr(R, "_det_bareiss", lambda re, im: calls.append(len(re)) or det(re, im))
+    assert copy.copy(m) is m and copy.deepcopy(m) is m
+    assert calls == []
+    twin = pickle.loads(data)
+    assert calls == [15] and twin == m and twin is not m
 
 
 def _corpus_map(rng, kind, k):

@@ -76,6 +76,10 @@ def _build(cls, fields):
     return cls(**dict(fields))
 
 
+#: One instance of every record class.
+EVERY = [_build(cls, fields) for cls, fields, _ in RECORDS] + VALUES
+
+
 @pytest.mark.parametrize("cls, fields, hashable", RECORDS, ids=IDS)
 def test_repr_lists_fields_in_order(cls, fields, hashable):
     text = ", ".join(f"{name}={value!r}" for name, value in fields)
@@ -159,14 +163,27 @@ def test_value_classes_copy_pickle_and_refuse_changes(value):
 
 
 def test_values_are_the_slot_values_of_every_record():
-    records = [_build(cls, fields) for cls, fields, _ in RECORDS] + VALUES
-    assert {type(rec) for rec in records} == set(Record.__subclasses__())
-    single = [rec for rec in records if len(type(rec).__slots__) == 1]
+    assert {type(rec) for rec in EVERY} == set(Record.__subclasses__())
+    single = [rec for rec in EVERY if len(type(rec).__slots__) == 1]
     assert {type(rec) for rec in single} == {IntegerPartition, R.Phase}
-    for rec in records:
+    for rec in EVERY:
         values = rec._values()
         assert type(values) is tuple, type(rec)
         assert values == tuple(getattr(rec, name) for name in type(rec).__slots__), type(rec)
+
+
+@pytest.mark.parametrize("rec", EVERY, ids=lambda r: type(r).__name__)
+def test_canonical_rebuilds_and_copies_are_the_value(rec):
+    values = rec._values()
+    assert type(rec)._canonical(*values) == rec
+    assert copy.copy(rec) is rec
+    # As for a tuple, a deep copy is new only when some field copies to a new object.
+    twin = copy.deepcopy(rec)
+    dicts = [i for i, v in enumerate(values) if isinstance(v, dict)]
+    assert (twin is rec) == (not dicts)
+    assert type(twin) is type(rec) and twin == rec
+    for i in dicts:
+        assert twin._values()[i] == values[i] and twin._values()[i] is not values[i]
 
 
 def test_phase_tagged_map_keeps_its_phase_and_resultant():
@@ -228,7 +245,7 @@ def test_literal_reprs():
         "nu=SetPartition(3, {{1,2,3}}), codim=1, total_dim=8, fiber_dim=3, base_dims=(5,), "
         "integer_types=(IntegerPartition(1, 1, 1),))")
     assert repr(C.StrongFieldComponent([1, 2, 3], 0, 1)) == (
-        "StrongFieldComponent(center=(1.0, 2.0, 3.0), diameter=0, charge=1)")
+        "StrongFieldComponent(center=(1.0, 2.0, 3.0), diameter=0.0, charge=1)")
 
 
 def test_strong_field_component_still_validates():
