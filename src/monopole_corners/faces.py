@@ -74,9 +74,10 @@ def iter_corner_atlas(
     k: int, d: int, nu: SetPartition | None = None
 ) -> Iterator[FaceDescriptor]:
     """The descriptors of :func:`corner_atlas`, in the same order, yielded
-    one (ranks, types) group at a time.  Every chain is held as a tuple of
-    level partitions, each built once per atlas and shared by every chain
-    that has it; only the current group's flags and descriptors are built.
+    one (ranks, types) group at a time.  Until its group comes, every face
+    is held as one packed int; each level partition is built once per atlas
+    and shared by every chain that has it, and only the current group's
+    flags and descriptors are built.
     The arguments are checked when this is called, before the first
     descriptor is asked for."""
     _check_k(k)

@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -487,15 +488,30 @@ print(tracemalloc.get_traced_memory()[1])
 """
 
 
+@functools.cache
+def _atlas_peak(mode):
+    """MEMORY_PROBE's traced peak in one mode, measured once in a fresh
+    interpreter for the tests that bound it."""
+    (peak,) = _probe(MEMORY_PROBE, mode)
+    return peak
+
+
 def test_streamed_and_listed_atlas_peak_memory():
     """Draining the k = 8, codim-5 atlas and formatting each face as JSON
-    holds one (ranks, types) group at a time: about 1.06 MB.  Its 1877
-    descriptors share their level partitions, so even the whole list takes
-    about 1.26 MB, where a fresh partition per level took 5.26 MB.  Each
-    side runs in a fresh interpreter, after the imports, so neither
-    inherits the other's caches."""
-    (listed,), (streamed,) = (_probe(MEMORY_PROBE, mode) for mode in ("list", "stream"))
+    holds one packed int per face until its group is yielded, and one
+    group's faces at a time: about 0.69 MB (1.06 MB when the chains were
+    held as tuples grouped by types).  Its 1877 descriptors share their
+    level partitions, so even the whole list takes about 1.15 MB, where a
+    fresh partition per level took 5.26 MB.  Each side runs in a fresh
+    interpreter, after the imports, so neither inherits the other's
+    caches."""
+    listed, streamed = _atlas_peak("list"), _atlas_peak("stream")
     assert streamed < 1_200_000 and listed < 2_000_000, (listed, streamed)
+
+
+def test_packed_streamed_atlas_peak_memory():
+    """The packed keys' own figure for the streamed k = 8, codim-5 JSON."""
+    assert _atlas_peak("stream") < 900_000
 
 
 LEAK_PROBE = """
@@ -522,12 +538,12 @@ print(cyclic)
 
 
 def test_atlas_state_dies_with_its_generator():
-    """The per-atlas level partitions, groups and tower memo are freed when
-    the generator is drained or closed, with no reference cycle left for
-    the collector.  After a warm-up drain, and with the collector run
+    """The per-atlas level partitions, packed keys and tower memo are freed
+    when the generator is drained or closed, with no reference cycle left
+    for the collector.  After a warm-up drain, and with the collector run
     before each reading so that CPython's free lists are empty, a second
     drain leaves 0 B traced, and a generator closed after its first face
-    432 B; paused there it holds about 412 KB.  A self-calling closure that
+    432 B; paused there it holds about 160 KB.  A self-calling closure that
     keeps the tower memo alive leaves about 9,000 objects in cycles
     (without the collector, 328 KB and 642 KB traced)."""
     drained, closed, cyclic = _probe(LEAK_PROBE)

@@ -1,11 +1,12 @@
 import copy
+import functools
 import os
 import pickle
 import random
 import subprocess
 import sys
-from itertools import combinations, permutations, zip_longest
-from math import comb
+from itertools import accumulate, combinations, permutations, zip_longest
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -444,6 +445,39 @@ def test_relative_atlas_counts_match_oracle(nu):
     assert F.corner_atlas(8, 9 - nu.rank, nu) == []
 
 
+def relative_count_rule(sizes, d):
+    """R(nu, d) = sum_j (-1)^j C(d, j) prod_b W(|B_b|, d - j) from absolute
+    counts alone.  Restricted to nu's blocks, a chain below nu is one weak
+    chain per block, and inclusion-exclusion over its d steps keeps those
+    strict in some block.  A weak chain of length L below an n-block is a
+    strict one of m levels, placed in C(L, m) ways: W(n, L) = sum_m C(L, m)
+    A(n, m), with A(n, 0) = 1 and A(n, m) the absolute oracle's count."""
+    def weak(n, length):
+        return 1 + sum(comb(length, m) * chain_orbit_oracle((n,), m)
+                       for m in range(1, min(length, n - 1) + 1))
+    return sum((-1) ** j * comb(d, j) * prod(weak(n, d - j) for n in sizes)
+               for j in range(d + 1))
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_relative_atlas_counts_match_the_product_rule(k):
+    """Every relative shape of k, as the canonical nu whose blocks are runs
+    of descending sizes, at every d up to one past its longest chain."""
+    assert relative_count_rule((3, 3, 2), 3) == 129
+    for shape in P.integer_partitions(k):
+        sizes = shape.parts[::-1]
+        if len(sizes) < 2:
+            continue
+        nu = SetPartition.from_rgs("".join(str(b) * n for b, n in enumerate(sizes)))
+        for d in range(1, k - len(sizes) + 2):
+            assert len(F.corner_atlas(k, d, nu)) == relative_count_rule(sizes, d), (nu, d)
+
+
+def _consecutive_blocks(sizes):
+    """Blocks of the given sizes, of consecutive elements from 1 on."""
+    return tuple(tuple(range(e - n + 1, e + 1)) for n, e in zip(sizes, accumulate(sizes)))
+
+
 K9_ORBIT_COUNTS = {
     (9,): [29, 365, 2174, 6833, 12068, 12060, 6373, 1385],
     (5, 4): [34, 309, 1220, 2479, 2720, 1535, 350],
@@ -455,28 +489,57 @@ def test_k9_chain_orbits_match_oracle(sizes):
     """Every forest is refined from exactly one parent, so the depth-first
     enumeration meets each orbit once: counts and distinct flags at k = 9,
     past the atlas limit, for every d."""
-    blocks, start = [], 1
-    for n in sizes:
-        blocks.append(tuple(range(start, start + n)))
-        start += n
     counts = K9_ORBIT_COUNTS[sizes]
     for d, want in enumerate(counts, start=1):
-        flags = [f for _, group in P._chain_orbits_relative(9, d, tuple(blocks))
+        flags = [f for _, group in P._chain_orbits_relative(9, d, _consecutive_blocks(sizes))
                  for f in group]
         assert len(flags) == chain_orbit_oracle(sizes, d) == want
         assert len({tuple(p.index for p in f.chain) for f in flags}) == want
     assert chain_orbit_oracle(sizes, len(counts) + 1) == 0
 
 
-def test_chain_orbit_drain_peak_memory():
-    # Forests are refined depth first, the whole tower of a one-block forest
-    # is not memoized, and the groups hold chains of shared level partitions:
-    # about 3.8 MB, against 4.3 MB when the groups held the forests and 6.6 MB
-    # when each level's forests were held in a dict.
-    peak = _traced("for _ in P._chain_orbits_relative(9, 5, (tuple(range(1, 10)),)):\n"
+@pytest.mark.parametrize("sizes", list(K9_ORBIT_COUNTS), ids=str)
+def test_k9_atlas_order_follows_the_documented_key(sizes):
+    """Past the atlas limit there are no digests, so the order of the packed
+    keys is checked against the rule they encode: finest ranks descending,
+    then types, then the levels' restricted-growth words.  Each group's
+    types are its flags' block sizes, and no two groups share them."""
+    def types_of(flag):
+        return tuple(tuple(sorted(map(len, p.blocks))) for p in flag.chain)
+
+    def rule(flag):
+        types = types_of(flag)
+        return [-len(t) for t in types], types, [p.index for p in flag.chain]
+
+    for d in range(1, len(K9_ORBIT_COUNTS[sizes]) + 1):
+        groups = list(P._chain_orbits_relative(9, d, _consecutive_blocks(sizes)))
+        flags = [f for _, group in groups for f in group]
+        assert sorted(flags, key=rule) == flags
+        assert all(types_of(f) == types for types, group in groups for f in group)
+        assert len({types for types, _ in groups}) == len(groups)
+
+
+@functools.cache
+def _drain_peak():
+    """The traced peak of draining the k = 9, d = 5 chain orbits, measured
+    once in a fresh interpreter for the tests that bound it."""
+    return _traced("for _ in P._chain_orbits_relative(9, 5, (tuple(range(1, 10)),)):\n"
                    "    pass\n"
                    "print(tracemalloc.get_traced_memory()[1])\n")
-    assert peak < 4_800_000
+
+
+def test_chain_orbit_drain_peak_memory():
+    # Forests are refined depth first, the whole tower of a one-block forest
+    # is not memoized, and the drain holds one packed int per face: about
+    # 2.0 MB, against 3.8 MB when it held chains of shared level partitions
+    # grouped by types, 4.3 MB when the groups held the forests and 6.6 MB
+    # when each level's forests were held in a dict.
+    assert _drain_peak() < 4_800_000
+
+
+def test_packed_chain_orbit_drain_peak_memory():
+    # The packed keys' own figure: about 2.0 MB, 3.8 MB with grouped chains.
+    assert _drain_peak() < 2_600_000
 
 
 def test_chain_orbit_range_errors():
