@@ -144,11 +144,7 @@ def intersection_components(k: int, a: IntegerPartition, b: IntegerPartition) ->
                if n == len(a) and tuple(sorted(itertools.chain(*tower))) == a.parts)
 
 
-def validate_ibf(
-    k: int,
-    hypersurfaces: list[FaceDescriptor] | None = None,
-    corners: list[FaceDescriptor] | None = None,
-) -> IbfReport:
+def validate_ibf(k: int) -> IbfReport:
     """Combinatorial consistency of the boundary-fibration bookkeeping.
 
     For every pair of intersecting hypersurfaces the base dimensions must
@@ -158,14 +154,11 @@ def validate_ibf(
     base.  Violations are returned as data, never raised.
     """
     _check_k(k)
-    if hypersurfaces is None:
-        hypersurfaces = hypersurface_atlas(k)
-    if corners is None:
-        corners = corner_atlas(k, 2)
+    hypersurfaces = hypersurface_atlas(k)
     violations: list[str] = []
     by_type = {h.integer_types[0]: h for h in hypersurfaces}
     corners_by_types: dict[tuple, list[FaceDescriptor]] = {}
-    for c in corners:
+    for c in corner_atlas(k, 2):
         corners_by_types.setdefault(c.integer_types, []).append(c)
     edges = []
     for a, b in itertools.combinations(sorted(by_type, key=lambda t: t.parts), 2):

@@ -396,47 +396,34 @@ def _ascending_parts(remaining: int, minimum: int) -> Iterator[tuple[int, ...]]:
 
 
 def refines_integer_partition(a: IntegerPartition, b: IntegerPartition) -> bool:
-    """True iff b is obtained from a by grouping (bracketing) parts of a.
+    """True iff b is obtained from a by grouping (bracketing) parts of a;
+    every partition refines itself.
 
-    Reflexive: every partition refines itself.
+    A dealing search: a's parts, largest first, go one at a time into bins
+    sized by b's parts.  A state is the count of parts dealt and the bins'
+    free room, sorted; of bins with equal room only the first is tried, and
+    a part that fills a bin exactly goes only there (whatever else would
+    fill that bin can swap places with it).  Once every part is dealt every
+    bin is full, as the totals agree.  Each state is expanded once, from an
+    explicit stack.
     """
     if a.total != b.total:
         raise ValueError("integer partitions of different totals")
-    # The memo lives for this call only: nothing refers back to it.
-    return _refines_integer(a.parts, b.parts, {})
-
-
-def _refines_integer(a: tuple[int, ...], b: tuple[int, ...], memo: dict) -> bool:
-    """Whether ascending parts a, of the same total as b, group into b: some
-    parts of a make up b's largest part and the rest group into the rest of
-    b.  `memo` holds the (a, b) pairs already decided."""
-    if len(a) < len(b):
-        return False
-    if len(b) == 1:
-        return True
-    got = memo.get((a, b))
-    if got is None:
-        got = memo[a, b] = _group_largest(a, b[:-1], b[-1], 0, [], memo)
-    return got
-
-
-def _group_largest(a, rest_b, remaining: int, idx: int, chosen: list[int], memo: dict) -> bool:
-    """Whether parts a[i], i >= idx, each multiset of them tried once, add up
-    to `remaining` so that the parts of a outside `chosen` group into rest_b."""
-    if remaining == 0:
-        taken = set(chosen)
-        return _refines_integer(tuple(x for i, x in enumerate(a) if i not in taken), rest_b, memo)
-    prev = None
-    for i in range(idx, len(a)):
-        if a[i] > remaining:  # a ascends: no later part fits either
-            break
-        if a[i] != prev:
-            prev = a[i]
-            chosen.append(i)
-            found = _group_largest(a, rest_b, remaining - a[i], i + 1, chosen, memo)
-            chosen.pop()
-            if found:
-                return True
+    deal = a.parts[::-1]
+    stack = [(0, b.parts)]
+    seen = set(stack)
+    while stack:
+        n, room = stack.pop()
+        if n == len(deal):
+            return True
+        x = deal[n]
+        exact = x in room
+        for i, r in enumerate(room):
+            if r >= x and (i == 0 or r != room[i - 1]) and (r == x or not exact):
+                state = (n + 1, tuple(sorted((*room[:i], r - x, *room[i + 1:]))))
+                if state not in seen:
+                    seen.add(state)
+                    stack.append(state)
     return False
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from monopole_corners import faces as F
+from monopole_corners import manybody as MB
 from monopole_corners import partitions as P
 from monopole_corners.errors import RangeLimitError
 from monopole_corners.partitions import IntegerPartition as IP
@@ -252,7 +253,7 @@ def test_validate_ibf_tests_each_type_pair_once(monkeypatch):
     assert all(len(a) > len(b) for a, b in calls)
 
 
-def test_validate_ibf_detects_mutation():
+def test_validate_ibf_detects_mutation(monkeypatch):
     atlas = F.hypersurface_atlas(4)
     broken = list(atlas)
     h = broken[1]
@@ -267,12 +268,13 @@ def test_validate_ibf_detects_mutation():
         integer_types=h.integer_types,
     )
     broken[1] = mutated
-    report = F.validate_ibf(4, hypersurfaces=broken)
+    monkeypatch.setattr(F, "hypersurface_atlas", lambda k: broken)
+    report = F.validate_ibf(4)
     assert not report.ok
     assert len(report.violations) >= 1
 
 
-def test_validate_ibf_matches_corners_to_their_pair():
+def test_validate_ibf_matches_corners_to_their_pair(monkeypatch):
     k = 6
     full = F.validate_ibf(k)
     assert full.ok
@@ -290,7 +292,10 @@ def test_validate_ibf_matches_corners_to_their_pair():
             c = F.FaceDescriptor(c.k, c.chain, c.nu, c.codim, c.total_dim, c.fiber_dim + 1,
                                  c.base_dims, c.integer_types)
         broken.append(c)
-    report = F.validate_ibf(k, corners=broken)
+    # hypersurface_atlas is corner_atlas at codim 1, so only codim 2 is planted.
+    atlas = F.corner_atlas
+    monkeypatch.setattr(F, "corner_atlas", lambda k, d, nu=None: broken if d == 2 else atlas(k, d, nu))
+    report = F.validate_ibf(k)
     assert report.edges == full.edges
     fiber = full.hypersurface_dims[shifted[0]][1]
     expected = []
@@ -301,6 +306,38 @@ def test_validate_ibf_matches_corners_to_their_pair():
             expected += [f"corner {a}<{b}: fiber dim {fiber + 1} != {fiber}",
                          f"corner {a}<{b}: factor dims do not sum to total"] * counts[shifted]
     assert report.violations == tuple(expected)
+
+
+RELATIVE_SHAPES = ("0011", "0012", "00012", "000111", "001122", "0001122", "00001111",
+                   "00011122")
+
+
+def test_manybody_lattice_gives_the_atlas_dimensions():
+    """The diagonal lattice of E^k/E, E = R^3, factors each chain's corner
+    with its own merge code: its B factors are the atlas's base dims and its
+    M factor, absent when the finest level is the singletons, plus k is the
+    fibre.  A relative chain ends at nu, whose B factor is 3(rank(nu) - 1) - 1."""
+    shapes = {}
+    for nu in RELATIVE_SHAPES:
+        shapes.setdefault(len(nu), []).append(SetPartition.from_rgs(nu))
+    counted = [0, 0]
+    for k in range(2, 9):
+        ws = MB.diagonal_structure(k, 3)
+        for nu in [None, *shapes.get(k, ())]:
+            for d in range(1, k):
+                for face in F.corner_atlas(k, d, nu):
+                    chain = [p.to_rgs() for p in face.chain]
+                    if nu is not None:
+                        chain.append(nu.to_rgs())
+                    m = MB.face_of_chain(ws, chain)
+                    fiber = sum(f.dim for f in m.factors if f.kind == "M") + k
+                    bases = tuple(f.dim for f in m.factors if f.kind == "B")
+                    if nu is not None:
+                        assert bases[-1] == 3 * (nu.rank - 1) - 1, chain
+                        bases = bases[:-1]
+                    assert (bases, fiber) == (face.base_dims, face.fiber_dim), chain
+                    counted[nu is not None] += 1
+    assert counted == [6987, 1982]
 
 
 def test_cover_schedule_k3():

@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 from itertools import accumulate, combinations, permutations, zip_longest
 from math import comb, prod
 from pathlib import Path
@@ -689,6 +690,69 @@ def test_refines_integer_partition():
     assert P.refines_integer_partition(IP([1] * 6), IP([6]))
     with pytest.raises(ValueError):
         P.refines_integer_partition(IP([1, 2]), IP([4]))
+
+
+def ascending_parts(n, least=1):
+    """The integer partitions of n as ascending tuples."""
+    if n == 0:
+        yield ()
+    for first in range(least, n + 1):
+        for rest in ascending_parts(n - first, first):
+            yield (first, *rest)
+
+
+def block_sums(values):
+    """The sorted block sums of every set partition of `values`' positions:
+    each value opens a new block or joins one already open."""
+    if not values:
+        return {()}
+    out = set()
+    for sums in block_sums(values[1:]):
+        out.add(tuple(sorted((values[0], *sums))))
+        for i in range(len(sums)):
+            out.add(tuple(sorted((*sums[:i], sums[i] + values[0], *sums[i + 1:]))))
+    return out
+
+
+def test_type_refinement_matches_block_sums_of_set_partitions():
+    # a refines b iff b's parts are the block sums of a set partition of a's
+    # parts; the oracle shares no code with the library.
+    pairs = 0
+    for k in range(1, 11):
+        types = list(ascending_parts(k))
+        for a in types:
+            grouped = block_sums(a)
+            for b in types:
+                got = P.refines_integer_partition(IntegerPartition(a), IntegerPartition(b))
+                assert got == (b in grouped), (a, b)
+                pairs += 1
+    assert pairs == 3582
+
+
+def test_type_refinement_of_deep_and_wide_types():
+    """Types of thousands of parts raise no RecursionError, and random pairs
+    of total 60-200 that group by construction each take milliseconds."""
+    IP = IntegerPartition
+    start = time.perf_counter()
+    for a, b in [([1] * 3000, [1500, 1500]),
+                 ([5] * 10 + [1] * 2000, [1025, 1025]),
+                 ([2] * 1000 + [1] * 1000, [1000, 1000, 1000]),
+                 ([2] * 1200 + [1, 1], [1201, 1201])]:
+        assert P.refines_integer_partition(IP(a), IP(b))
+    assert not P.refines_integer_partition(IP([3] * 7), IP([2, 19]))
+    rng = random.Random(29)
+    for _ in range(100):
+        rest, a = rng.randint(60, 200), []
+        while rest:
+            a.append(rng.randint(1, min(rest, rng.choice([3, 7, 13, 25]))))
+            rest -= a[-1]
+        rng.shuffle(a)
+        groups = [0] * rng.randint(2, max(2, len(a) // 3))
+        for x in a:  # a random grouping of a, so a refines b
+            groups[rng.randrange(len(groups))] += x
+        b = [g for g in groups if g]
+        assert P.refines_integer_partition(IP(a), IP(b)), (a, b)
+    assert time.perf_counter() - start < 10
 
 
 def test_type_refinement_matches_set_partition_refinement():
