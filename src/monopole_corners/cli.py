@@ -15,11 +15,12 @@ process loads only the code of its own command.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
 import sys
-from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .inputs import as_digits, as_rational, as_real_text
@@ -48,45 +49,39 @@ def _load_json(path: str) -> dict:
             raise ValueError(f"--input {path}: {exc}") from None
 
 
-def _indented(value, pad: str) -> str:
-    """`value` as `json.dumps(value, indent=2)` writes it at indentation
-    `pad`, for values made of dicts, lists, strings and ints."""
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    if type(value) is int:
-        return str(value)
-    if not value:
-        return "[]" if type(value) is list else "{}"
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if type(value) is dict:
-        body = sep.join(encode_basestring_ascii(key) + ": " + _indented(v, inner)
-                        for key, v in value.items())
-        return "{\n" + inner + body + "\n" + pad + "}"
-    return "[\n" + inner + sep.join(_indented(v, inner) for v in value) + "\n" + pad + "]"
-
-
-def _json_array(rows: Iterable) -> Iterator[str]:
-    """The chunks of `json.dumps(list(rows), indent=2)`, one per row."""
+def _json_faces(descs: Iterable) -> Iterator[str]:
+    """The chunks of `json.dumps([d.to_json_dict() for d in descs],
+    indent=2)`, one per face.  Faces with equal types differ only in their
+    chains, so each group's other fields are encoded once, as the text that
+    follows a chain, and each level's string once per atlas."""
+    levels: dict = {}
     sep = "[\n  "
-    for row in rows:
-        yield sep + _indented(row, "  ")
-        sep = ",\n  "
+    for _, group in itertools.groupby(descs, attrgetter("integer_types")):
+        first = next(group)
+        shared = first.to_json_dict()
+        del shared["chain"]
+        # JSON text holds no raw newline in a string; drop the opening brace.
+        tail = json.dumps(shared, indent=2).replace("\n", "\n  ")[1:]
+        for desc in itertools.chain((first,), group):
+            strings = [levels.get(p) or levels.setdefault(p, json.dumps(p.to_rgs()))
+                       for p in desc.chain]
+            yield sep + '{\n    "chain": [\n      ' + ",\n      ".join(strings) + "\n    ]," + tail
+            sep = ",\n  "
     yield "[]" if sep == "[\n  " else "\n]"
 
 
-def _table(rows: Iterable[dict]) -> Iterator[str]:
-    """The face table: a header, then one line per row."""
+def _table(descs: Iterable) -> Iterator[str]:
+    """The face table: a header, then one line per face."""
     header = f"{'chain':<24} {'codim':>5} {'total':>5} {'fiber':>5} {'bases':<12} types"
     yield header + "\n" + "-" * len(header)
-    for r in rows:
+    for f in descs:
         yield "\n{:<24} {:>5} {:>5} {:>5} {:<12} {}".format(
-            " < ".join(r["chain"]),
-            r["codim"],
-            r["total_dim"],
-            r["fiber_dim"],
-            "+".join(map(str, r["base_dims"])),
-            " ".join("(" + ",".join(map(str, t)) + ")" for t in r["types"]),
+            " < ".join(p.to_rgs() for p in f.chain),
+            f.codim,
+            f.total_dim,
+            f.fiber_dim,
+            "+".join(map(str, f.base_dims)),
+            " ".join(map(str, f.integer_types)),
         )
 
 
@@ -98,8 +93,8 @@ def _cmd_faces(args) -> int:
     nu = SetPartition.from_rgs(args.nu, "--nu") if args.nu is not None else None
     # The hypersurfaces are the codimension-1 corners.
     d = 1 if args.codim is None else as_digits(args.codim, "--codim", 0)
-    rows = (desc.to_json_dict() for desc in faces.iter_corner_atlas(k, d, nu))
-    _stream(_json_array(rows) if args.format == "json" else _table(rows), args.output)
+    descs = faces.iter_corner_atlas(k, d, nu)
+    _stream(_json_faces(descs) if args.format == "json" else _table(descs), args.output)
     return 0
 
 

@@ -571,6 +571,31 @@ def test_relative_faces_json_is_the_stdlib_encoding(capsys, tmp_path, nu):
         assert_streams_like_the_stdlib_encoder(capsys, tmp_path, argv, atlas_args)
 
 
+def reference_table(rows):
+    """The face table formatted from `to_json_dict()` rows: a header, then
+    one line per row."""
+    header = f"{'chain':<24} {'codim':>5} {'total':>5} {'fiber':>5} {'bases':<12} types"
+    lines = [header, "-" * len(header)]
+    for r in rows:
+        lines.append("{:<24} {:>5} {:>5} {:>5} {:<12} {}".format(
+            " < ".join(r["chain"]),
+            r["codim"],
+            r["total_dim"],
+            r["fiber_dim"],
+            "+".join(map(str, r["base_dims"])),
+            " ".join("(" + ",".join(map(str, t)) + ")" for t in r["types"]),
+        ))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("k,nu", [(k, None) for k in range(2, 9)]
+                         + [(len(nu), nu) for nu in INTERLEAVED_NU])
+def test_faces_table_is_the_reference_table(capsys, k, nu):
+    for argv, atlas_args in faces_commands(k, nu):
+        rows = [d.to_json_dict() for d in corner_atlas(*atlas_args)]
+        assert run_cli(capsys, *argv) == (0, reference_table(rows) + "\n", "")
+
+
 def test_faces_without_faces_prints_an_empty_array_and_a_bare_table(capsys):
     code, out, _ = run_cli(capsys, "faces", "--k", "4", "--codim", "4", "--format", "json")
     assert (code, out) == (0, "[]\n")

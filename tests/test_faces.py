@@ -518,8 +518,7 @@ tracemalloc.start()
 if sys.argv[1] == "list":
     atlas = faces.corner_atlas(8, 5)
 else:
-    rows = (d.to_json_dict() for d in faces.iter_corner_atlas(8, 5))
-    for chunk in cli._json_array(rows):
+    for chunk in cli._json_faces(faces.iter_corner_atlas(8, 5)):
         pass
 print(tracemalloc.get_traced_memory()[1])
 """
@@ -536,12 +535,13 @@ def _atlas_peak(mode):
 def test_streamed_and_listed_atlas_peak_memory():
     """Draining the k = 8, codim-5 atlas and formatting each face as JSON
     holds one packed int per face until its group is yielded, and one
-    group's faces at a time: about 0.69 MB (1.06 MB when the chains were
-    held as tuples grouped by types).  Its 1877 descriptors share their
-    level partitions, so even the whole list takes about 1.15 MB, where a
-    fresh partition per level took 5.26 MB.  Each side runs in a fresh
-    interpreter, after the imports, so neither inherits the other's
-    caches."""
+    group's faces at a time, with each level's JSON string kept once per
+    atlas: about 0.75 MB (0.69 MB when each face was formatted whole,
+    1.06 MB when the chains were held as tuples grouped by types).  Its
+    1877 descriptors share their level partitions, so even the whole list
+    takes about 1.15 MB, where a fresh partition per level took 5.26 MB.
+    Each side runs in a fresh interpreter, after the imports, so neither
+    inherits the other's caches."""
     listed, streamed = _atlas_peak("list"), _atlas_peak("stream")
     assert streamed < 1_200_000 and listed < 2_000_000, (listed, streamed)
 
